@@ -25,8 +25,13 @@ report is a pure function of ``(aux, device, n_rhs)``.
   converted to CSC once and repeated solves call ``gstrs`` directly
   (everything ``scipy.sparse.linalg.spsolve_triangular`` re-derives per
   call — the CSC conversion, diagonal scaling, index casts — is hoisted
-  here).  The engine must *beat the kernel's own sweep on a timed probe
-  and reproduce its result* to be selected; otherwise the kernel's
+  here).  The CSR-to-CSC *layout* depends only on the sparsity pattern,
+  so it is computed once per pattern and kept on the pattern template's
+  step; each values overlay then builds its engine with two gathers and
+  one multiply, array-for-array equal to the SciPy construction, which
+  remains only as the fallback for duplicate entries and exact-zero
+  products.  The engine must *beat the kernel's own sweep on a timed
+  probe and reproduce its result* to be selected; otherwise the kernel's
   ``solve_numeric`` runs unchanged.  With SciPy absent everything still
   works on the kernel path.
 
@@ -79,6 +84,53 @@ _POOL_KEEP = 8
 # --------------------------------------------------------------------- #
 # Numeric engines
 # --------------------------------------------------------------------- #
+def _csc_layout(L) -> tuple:
+    """``(perm, col, indices, indptr)`` of ``L``'s CSC form.
+
+    ``perm[k]`` is the CSR position of CSC entry ``k`` and ``col[k]`` its
+    column; ``indices``/``indptr`` are the ``intc`` arrays SuperLU
+    takes, read-only because every values overlay of the pattern shares
+    them.  Derived from the sparsity pattern alone — SciPy's own
+    ``tocsc`` run on the entry positions instead of the values.
+    Returns ``()`` when a row repeats a column: SciPy's construction
+    sums duplicates, which a gather cannot reproduce.
+    """
+    if not L.has_sorted_indices():
+        # prepare_lower sorted L, so a row whose columns do not strictly
+        # increase repeats one
+        return ()
+    n = L.n_rows
+    pos = csr_array(
+        (np.arange(L.nnz, dtype=np.intp), L.indices, L.indptr), shape=(n, n)
+    ).tocsc()
+    indptr = pos.indptr.astype(np.intc)
+    layout = (
+        pos.data,
+        np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr)),
+        pos.indices.astype(np.intc),
+        indptr,
+    )
+    for arr in layout[2:]:
+        arr.flags.writeable = False
+    return layout
+
+
+def _scipy_scaled_csc(L, invdiag: np.ndarray, dtype: np.dtype) -> tuple:
+    """``L D^{-1}`` in CSC through SciPy's sparse conversions."""
+    n = L.n_rows
+    A = csr_array(
+        (L.data.astype(dtype, copy=False), L.indices, L.indptr),
+        shape=(n, n),
+    ).tocsc()
+    A = (A @ diags_array(invdiag)).astype(dtype, copy=False)
+    A.sum_duplicates()
+    return (
+        A.data,
+        A.indices.astype(np.intc, copy=False),
+        A.indptr.astype(np.intc, copy=False),
+    )
+
+
 class _GstrsEngine:
     """A hoisted SuperLU forward-substitution for one triangular segment.
 
@@ -86,6 +138,12 @@ class _GstrsEngine:
     on every call: the CSC form of the unit-scaled factor ``L D^{-1}``,
     the ``intc`` index arrays SuperLU wants, the empty upper factor, and
     the inverse diagonal applied to the returned solution.
+
+    Given the pattern's :func:`_csc_layout`, the scaled factor is two
+    gathers and one multiply.  SciPy's sparse matmul drops exact-zero
+    products, so a product with a zero falls back to the SciPy
+    construction, as do patterns without a layout and dtypes ``gstrs``
+    does not solve in; either way the arrays are the ones SciPy builds.
     """
 
     __slots__ = (
@@ -93,22 +151,23 @@ class _GstrsEngine:
         "u_nnz", "u_data", "u_indices", "u_indptr", "invdiag",
     )
 
-    def __init__(self, prep: PreparedLower, dtype: np.dtype) -> None:
+    def __init__(self, prep: PreparedLower, dtype: np.dtype,
+                 layout: tuple = ()) -> None:
         L = prep.L
         n = L.n_rows
-        A = csr_array(
-            (L.data.astype(dtype, copy=False), L.indices, L.indptr),
-            shape=(n, n),
-        ).tocsc()
         invdiag = (1.0 / prep.diag).astype(dtype, copy=False)
-        A = (A @ diags_array(invdiag)).astype(dtype, copy=False)
-        A.sum_duplicates()
+        csc = None
+        if layout and dtype.char in "fd":
+            perm, col, indices, indptr = layout
+            data = np.multiply(L.data[perm], invdiag[col], dtype=dtype)
+            if data.all():
+                csc = (data, indices, indptr)
+        if csc is None:
+            csc = _scipy_scaled_csc(L, invdiag, dtype)
         self.n = n
         self.dtype = dtype
-        self.l_nnz = int(A.nnz)
-        self.l_data = A.data
-        self.l_indices = A.indices.astype(np.intc, copy=False)
-        self.l_indptr = A.indptr.astype(np.intc, copy=False)
+        self.l_data, self.l_indices, self.l_indptr = csc
+        self.l_nnz = len(self.l_data)
         # SuperLU's gstrs interface also takes the (here empty) U factor.
         self.u_nnz = 0
         self.u_data = np.zeros(0, dtype=dtype)
@@ -163,7 +222,7 @@ class _TriStep:
     """One prebound triangular sub-solve."""
 
     __slots__ = ("lo", "hi", "kernel", "aux", "device", "prep",
-                 "try_engine", "_engines", "_template")
+                 "try_engine", "_engines", "_template", "_layout")
 
     def __init__(self, seg: TriSegment, device: DeviceModel,
                  try_engine: bool, template: "_TriStep | None" = None) -> None:
@@ -186,8 +245,30 @@ class _TriStep:
         #: timing decision is structural, so values overlays inherit it
         #: instead of re-probing (verification still runs per overlay)
         self._template = template
+        #: this step's :func:`_csc_layout`, once computed
+        self._layout = None
 
     # -- engine management ------------------------------------------- #
+    def _new_engine(self, compute: np.dtype) -> _GstrsEngine:
+        """An engine over this step's values, built from the pattern's
+        CSC layout — the template's when this overlay shares its index
+        arrays, so the layout is computed once per pattern."""
+        owner = self
+        tmpl = self._template
+        L = self.prep.L
+        if (
+            tmpl is not None
+            and tmpl.prep.L.indices is L.indices
+            and tmpl.prep.L.indptr is L.indptr
+        ):
+            owner = tmpl
+        layout = owner._layout
+        if layout is None:
+            # overlays racing here each compute the same layout; any of
+            # them may be the one kept
+            layout = owner._layout = _csc_layout(owner.prep.L)
+        return _GstrsEngine(self.prep, compute, layout)
+
     def _seed_engine(self, work_dtype, keep: bool) -> None:
         """Replay a persisted engine verdict (repro.serve.store).
 
@@ -230,7 +311,7 @@ class _TriStep:
             return
         try:
             compute = solve_dtype(self.prep.L.data.dtype, dt)
-            self._engines[dt] = _GstrsEngine(self.prep, compute)
+            self._engines[dt] = self._new_engine(compute)
         except Exception:
             self._engines[dt] = None
 
@@ -243,7 +324,7 @@ class _TriStep:
             return None
         try:
             compute = solve_dtype(self.prep.L.data.dtype, work_dtype)
-            engine = _GstrsEngine(self.prep, compute)
+            engine = self._new_engine(compute)
             n = self.hi - self.lo
             probe = np.linspace(0.5, 1.5, n).astype(work_dtype, copy=False)
             ref = np.asarray(

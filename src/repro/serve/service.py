@@ -47,6 +47,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    ValidationError,
 )
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import (
@@ -153,6 +154,15 @@ class SolveRequest:
     #: submitting tenant: flows into spans, request records, the
     #: ``tenant`` label on serve metrics, and SLO policy matching
     tenant: str = "default"
+
+
+def _malformed_request(pos: int, reason: str) -> ValidationError:
+    """The structured error for request ``pos`` of a batch."""
+    return ValidationError(
+        f"request {pos} of the batch is malformed: {reason}",
+        kind="malformed-request",
+        detail={"position": pos, "reason": reason},
+    )
 
 
 @dataclass
@@ -575,6 +585,9 @@ class SolveService:
         ``requests`` items are :class:`SolveRequest` or ``(A, b)``
         tuples.  Returns a :class:`BatchResult` (list-compatible,
         results in request order) carrying per-bucket fusion info.
+        A request whose ``A`` is not a readable :class:`CSRMatrix`
+        fails the batch with a :class:`ValidationError` of kind
+        ``"malformed-request"`` whose ``detail["position"]`` names it.
         """
         if self._closed:
             raise ServiceClosedError("service has been shut down")
@@ -584,18 +597,36 @@ class SolveService:
         ]
         if not reqs:
             return BatchResult([])
+        # A malformed request fails the whole batch, naming its position,
+        # and the batch leaves every admission permit free.
+        for pos, r in enumerate(reqs):
+            if not isinstance(r.A, CSRMatrix):
+                raise _malformed_request(
+                    pos, f"A must be a CSRMatrix, got {type(r.A).__name__}"
+                )
         t_batch = monotonic()
         self._admit([r.tenant for r in reqs])
-        ids = self._take_ids(len(reqs))
         deadline = self._deadline(timeout_s)
         structural = self.config.structural_batching
         # One structure scan per request: the orientation feeds both the
         # fingerprint's triangle tag and the mirror decision at build
         # time (previously re-scanned O(nnz) inside each).
-        orients = [triangle_orientation(r.A) for r in reqs]
-        fps = [
-            fingerprints(r.A, orientation=o) for r, o in zip(reqs, orients)
-        ]
+        # Two passes, scans then digests: interleaving them made the
+        # scans slower.
+        orients: list[str] = []
+        fps: list[tuple[str, str, str]] = []
+        try:
+            for r in reqs:
+                orients.append(triangle_orientation(r.A))
+            for r, orient in zip(reqs, orients):
+                fps.append(fingerprints(r.A, orientation=orient))
+        except Exception as exc:
+            self._release(len(reqs))
+            pos = len(orients) if len(orients) < len(reqs) else len(fps)
+            raise _malformed_request(
+                pos, f"{type(exc).__name__}: {exc}"
+            ) from exc
+        ids = self._take_ids(len(reqs))
         # Bucket by pattern (or by full content when structural batching
         # is off) and tenant — buckets stay tenant-homogeneous so every
         # per-bucket observation carries one attribution label;
@@ -1287,11 +1318,14 @@ class SolveService:
     ) -> tuple[list[SolveResult], bool]:
         cfg = self.config
         A = job.A
+        # read defensively: a malformed A (not a CSRMatrix) must still
+        # leave its failure records behind
+        n, nnz = getattr(A, "n_rows", 0), getattr(A, "nnz", 0)
         method = job.method or cfg.method
         coalesced = len(job.rids)
         n_dev = cfg.n_devices
         dev_label = "0" if n_dev == 1 else f"0-{n_dev - 1}"
-        ncols0 = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
+        ncols = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
         if deadline is not None and monotonic() > deadline:
             # The deadline expired while the request sat in queue: shed
             # it *now*, before paying the fingerprint, cache lookup, and
@@ -1299,10 +1333,10 @@ class SolveService:
             # sub-category of timeouts distinct from mid-solve expiry
             # (the queue wait was already measured by the caller).
             wall = monotonic() - t0
-            for rid, k in zip(job.rids, ncols0):
+            for rid, k in zip(job.rids, ncols):
                 self._record(RequestRecord(
                     request_id=rid, fingerprint=job.fp or "", method=method,
-                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
+                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
                     coalesced=coalesced, fused=fused, bucket=bucket_n,
                     wall_time_s=wall, device=dev_label,
                     timed_out=True, shed_expired=True,
@@ -1314,25 +1348,14 @@ class SolveService:
             raise ServiceTimeoutError(
                 "request deadline expired while queued (shed before solve)"
             )
-        if job.fp is None:  # submit path: fingerprints not yet computed
-            job.orient = triangle_orientation(A)
-            job.fp, job.sfp, job.vfp = fingerprints(A, orientation=job.orient)
-        fp = job.fp
-        ncols = ncols0
         trace_id: int | None = None
-        if obs is not None:
-            current = obs.tracer.current()
-            if current is not None:
-                current.set(fingerprint=fp, n=A.n_rows, nnz=A.nnz,
-                            n_rhs=sum(ncols))
-                trace_id = current.trace_id
 
         def fail_records(error: str | None, timed_out: bool = False) -> None:
             wall = monotonic() - t0
             for rid, k in zip(job.rids, ncols):
                 self._record(RequestRecord(
-                    request_id=rid, fingerprint=fp, method=method,
-                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
+                    request_id=rid, fingerprint=job.fp or "", method=method,
+                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
                     coalesced=coalesced,
                     fused=fused, bucket=bucket_n,
                     wall_time_s=wall, device=dev_label,
@@ -1341,6 +1364,18 @@ class SolveService:
                 ))
 
         try:
+            if job.fp is None:  # submit path: fingerprints not yet computed
+                job.orient = triangle_orientation(A)
+                job.fp, job.sfp, job.vfp = fingerprints(
+                    A, orientation=job.orient
+                )
+            fp = job.fp
+            if obs is not None:
+                current = obs.tracer.current()
+                if current is not None:
+                    current.set(fingerprint=fp, n=n, nnz=nnz,
+                                n_rhs=sum(ncols))
+                    trace_id = current.trace_id
             if method not in SOLVERS:
                 raise ValueError(
                     f"unknown method {method!r}; choose from {sorted(SOLVERS)}"
@@ -1442,7 +1477,7 @@ class SolveService:
                 ))
                 self._record(RequestRecord(
                     request_id=rid, fingerprint=fp, method=entry.method,
-                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
+                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
                     cache_hit=hit,
                     pattern_hit=p_hit, store_hit=bool(from_store),
                     fallback=entry.fallback,

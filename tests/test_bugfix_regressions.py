@@ -15,7 +15,12 @@
   ``IndexError`` when ``tenants`` was shorter than ``stream`` (now
   normalized at construction, cycling lookups, ``ValueError`` out of
   range); and ``_admit`` partial-acquire rollback is pinned under
-  threads (no permit leaks).
+  threads (no permit leaks);
+* malformed requests: a ``solve_batch`` holding one leaked its admission
+  permits and raised a bare ``AttributeError`` (now it takes no permit
+  and raises a ``ValidationError`` naming the request's position); a
+  malformed ``submit``/``solve`` counted as an error in the metrics but
+  left no failure record, so ``ServiceStats`` disagreed with them.
 """
 
 import math
@@ -29,7 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SolveService, solve_triangular
-from repro.errors import ServiceOverloadedError
+from repro.errors import ServiceOverloadedError, ValidationError
 from repro.gpu.device import TITAN_RTX_SCALED
 from repro.obs import Observability
 from repro.serve import ServiceConfig, ServiceTimeoutError, SolveRequest
@@ -698,3 +703,75 @@ class TestAdmitRollbackUnderThreads:
         assert rejected, "queue never overflowed"
         assert completed
         assert stats.rejected == sum(rejected)
+
+
+class TestMalformedBatchRequest:
+    def test_malformed_request_takes_no_permit(self, queue_system):
+        """One malformed request beside a valid one fails its batch with
+        a structured error naming its position, and every permit stays
+        free: a later full-size batch must still be admitted."""
+        L, b = queue_system
+        svc = SolveService(ServiceConfig(max_workers=2, queue_limit=8))
+        for bad in (None, np.eye(3), "x"):
+            with pytest.raises(ValidationError) as info:
+                svc.solve_batch([
+                    SolveRequest(A=L, b=b), SolveRequest(A=bad, b=np.ones(3)),
+                ])
+            assert info.value.kind == "malformed-request"
+            assert info.value.detail["position"] == 1
+        assert svc.admission_available == svc.config.queue_limit
+        res = svc.solve_batch([SolveRequest(A=L, b=b) for _ in range(3)])
+        stats = svc.stats()
+        svc.close()
+        assert len(res) == 3
+        assert stats.requests == 3 and stats.rejected == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("indices", "truncated"), ("data", None)],
+        ids=["scan-fails", "digest-fails"],
+    )
+    def test_damaged_matrix_releases_permits(self, queue_system, field, value):
+        """A CSRMatrix damaged after construction passes the type check
+        but fails its structure scan or its digest; the permits the
+        batch took are all returned."""
+        L, b = queue_system
+        bad = L.copy()
+        if value == "truncated":
+            value = bad.indices[:-1]
+        setattr(bad, field, value)
+        svc = SolveService(ServiceConfig(max_workers=2, queue_limit=8))
+        with pytest.raises(ValidationError) as info:
+            svc.solve_batch([
+                SolveRequest(A=L, b=b), SolveRequest(A=bad, b=b),
+                SolveRequest(A=L, b=b),
+            ])
+        assert info.value.detail["position"] == 1
+        assert svc.admission_available == svc.config.queue_limit
+        svc.close()
+
+
+class TestMalformedSubmitAccounting:
+    def test_stats_records_and_metrics_agree(self, queue_system):
+        """A malformed ``solve`` is one failed request everywhere:
+        ServiceStats, the lifetime counters behind it, the retained
+        records, and ``repro_requests_total``."""
+        L, b = queue_system
+        obs = Observability()
+        svc = SolveService(ServiceConfig(max_workers=2, obs=obs))
+        svc.solve(L, b)
+        with pytest.raises(AttributeError):
+            svc.solve(np.eye(3), np.ones(3))
+        stats = svc.stats()
+        records = svc.records()
+        svc.close()
+        by_status: dict[str, float] = {}
+        for s in obs.metrics_dict()["repro_requests_total"]["samples"]:
+            status = s["labels"]["status"]
+            by_status[status] = by_status.get(status, 0) + s["value"]
+        assert by_status == {"ok": 1, "error": 1}
+        assert (stats.requests, stats.completed, stats.failed) == (2, 1, 1)
+        failed = [r for r in records if r.error is not None]
+        assert len(failed) == 1
+        assert failed[0].fingerprint == ""
+        assert failed[0].error.startswith("AttributeError")
