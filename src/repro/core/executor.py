@@ -32,8 +32,10 @@ report is a pure function of ``(aux, device, n_rhs)``.
   remains only as the fallback for duplicate entries and exact-zero
   products.  The engine must *beat the kernel's own sweep on a timed
   probe and reproduce its result* to be selected; otherwise the kernel's
-  ``solve_numeric`` runs unchanged.  With SciPy absent everything still
-  works on the kernel path.
+  ``solve_numeric`` runs unchanged.  An overlay bound to value bytes an
+  earlier overlay already verified adopts that overlay's verdicts
+  (:meth:`CompiledPlan.adopt_engine_verdicts`) instead of probing
+  again.  With SciPy absent everything still works on the kernel path.
 
 Observability is preserved by construction: with an active
 :class:`repro.obs.Observability` the compiled steps run inside the same
@@ -289,31 +291,34 @@ class _TriStep:
         dt = np.dtype(work_dtype)
         self._engines[dt] = _SEEDED_KEEP if keep and self.try_engine else None
 
-    def _trust_engine(self, work_dtype) -> None:
-        """Adopt a persisted keep verdict for *identical value bytes*.
+    def _trust_engine(self, work_dtype, keep: bool) -> None:
+        """Adopt a keep-or-drop verdict already verified on *these value
+        bytes*, without re-running the accuracy probe.
 
-        Called on a values overlay loaded from the plan store when the
-        incoming values fingerprint equals the one recorded at write
-        time: the writing process already ran the accuracy probe on
-        exactly these bytes, so re-running it here would recompute a
-        deterministic check that passed.  Builds the engine (it does the
-        actual solving) but skips the probe; any build failure falls
-        back to the kernel path via the normal lazy route.
+        Verdicts come from an earlier overlay of the same pattern bound
+        to the same values digest (see
+        :meth:`CompiledPlan.engine_verdicts`): an overlay evicted in this
+        process, or the first overlay of the process that wrote a plan
+        store entry, which settles its engines on the real values before
+        persisting them.  Either way :meth:`_build_engine` ran the probe
+        on exactly these bytes, and an engine rebuilt from the same bytes
+        by the same code solves identically, so probing again would
+        recompute a deterministic check.  ``keep=False`` pins the kernel
+        path; ``keep=True`` builds the engine, unless the template kept
+        the kernel path for this dtype or the build fails.
         """
         dt = np.dtype(work_dtype)
         tmpl = self._template
-        if (
-            dt in self._engines
-            or not self.try_engine
-            or tmpl is None
-            or tmpl._engine_for(dt) is None
-        ):
+        if dt in self._engines or not self.try_engine or tmpl is None:
             return
-        try:
-            compute = solve_dtype(self.prep.L.data.dtype, dt)
-            self._engines[dt] = self._new_engine(compute)
-        except Exception:
-            self._engines[dt] = None
+        engine = None
+        if keep and tmpl._engine_for(dt) is not None:
+            try:
+                compute = solve_dtype(self.prep.L.data.dtype, dt)
+                engine = self._new_engine(compute)
+            except Exception:
+                pass  # a failed build pins the kernel path
+        self._engines[dt] = engine
 
     def _build_engine(self, work_dtype: np.dtype):
         """Build + verify an engine for this work dtype; None on failure."""
@@ -609,6 +614,49 @@ class CompiledPlan:
         # pattern-level cache key
         self._frozen = tmpl._frozen
         self._merged = tmpl._merged
+
+    # -- engine verdicts ---------------------------------------------- #
+    def engine_verdicts(self, resolve=None) -> tuple:
+        """Per step, the engine verdicts settled so far as ``{work dtype:
+        keep}`` (``None`` for a step that never tries an engine).
+
+        With ``resolve``, every step first settles that work dtype,
+        running whatever probe it still owes.  Otherwise a verdict
+        another thread is still probing is simply absent: a step stores
+        a verdict only once its probe has finished.
+        """
+        out = []
+        for step in self._steps:
+            if not (isinstance(step, _TriStep) and step.try_engine):
+                out.append(None)
+                continue
+            if resolve is not None:
+                step._engine_for(np.dtype(resolve))
+            # one C-level copy, safe against a concurrent solve adding
+            # a verdict while we read
+            engines = step._engines.copy()
+            out.append({dt: e is not None for dt, e in engines.items()})
+        return tuple(out)
+
+    def adopt_engine_verdicts(self, verdicts) -> None:
+        """Install verdicts captured by :meth:`engine_verdicts` without
+        probing.
+
+        On a values overlay each step adopts through
+        :meth:`_TriStep._trust_engine`, so ``verdicts`` must have been
+        verified on this overlay's exact value bytes.  On a pattern
+        template (steps without a template of their own) they are
+        seeded as the timed keep-or-drop decision overlays inherit.
+        """
+        for step, decided in zip(self._steps, verdicts):
+            if not decided:
+                continue
+            adopt = (
+                step._trust_engine if step._template is not None
+                else step._seed_engine
+            )
+            for dt, keep in decided.items():
+                adopt(dt, keep)
 
     # -- compile-time capture ----------------------------------------- #
     def _scratch_dtype(self, work_dtype):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.api import SolveResult, validate_solver_options
-from repro.core.executor import compile_plan
+from repro.core.executor import CompiledPlan, compile_plan
 from repro.core.rebind import PlanRebinder, RebindError, tracer_matrix
 from repro.core.solver import SOLVERS, PreparedSolve
 from repro.errors import (
@@ -75,6 +75,12 @@ __all__ = [
     "SolveService",
     "ServiceTimeoutError",
 ]
+
+
+#: values digests per cached pattern whose engine verdicts outlive
+#: their overlay's eviction (LRU): binding one again adopts them instead
+#: of re-running the accuracy probe
+VERDICT_MEMO_CAPACITY = 32
 
 
 class ServiceTimeoutError(ServiceError):
@@ -210,6 +216,10 @@ class _PatternEntry:
     flow cannot be traced (external prepared types, opaque kernels)
     fall back to one full build per values vector — same cache shape,
     no sharing.
+
+    A rebindable pattern also remembers, per values digest, the engine
+    verdicts an evicted overlay verified (``verdicts``), so values that
+    recur after their overlay was evicted skip the accuracy probe.
     """
 
     __slots__ = (
@@ -225,6 +235,7 @@ class _PatternEntry:
         "build_prep_s",
         "rebind_prep_s",
         "overlays",
+        "verdicts",
         "capacity",
         "evict_cb",
         "_lock",
@@ -260,6 +271,9 @@ class _PatternEntry:
         self.build_prep_s = build_prep_s
         self.rebind_prep_s = rebind_prep_s
         self.overlays: OrderedDict[str, _PlanEntry] = OrderedDict()
+        #: values digest -> CompiledPlan.engine_verdicts() its overlay
+        #: verified, LRU-bounded by VERDICT_MEMO_CAPACITY
+        self.verdicts: OrderedDict[str, tuple] = OrderedDict()
         self.capacity = capacity
         self.evict_cb = evict_cb
         self._lock = threading.Lock()
@@ -286,18 +300,46 @@ class _PatternEntry:
         return entry.dist if entry is not None else None
 
     def _install(self, vfp: str, entry: _PlanEntry) -> None:
-        evicted = 0
+        evicted = []
         with self._lock:
             self.overlays[vfp] = entry
             self.overlays.move_to_end(vfp)
             while len(self.overlays) > self.capacity:
-                self.overlays.popitem(last=False)
-                evicted += 1
+                evicted.append(self.overlays.popitem(last=False))
+        if not evicted:
+            return
+        for old_vfp, old in evicted:
+            self._remember(old_vfp, old)
         # Overlay-capacity thrash (the revalued-workload failure mode)
         # must be diagnosable: report evictions to the owning service
         # outside our lock.
-        if evicted and self.evict_cb is not None:
-            self.evict_cb(evicted)
+        if self.evict_cb is not None:
+            self.evict_cb(len(evicted))
+
+    def _remember(self, vfp: str, entry: _PlanEntry) -> None:
+        """Keep the engine verdicts ``entry`` has settled for ``vfp``.
+
+        The overlay may still be solving on another worker; only
+        verdicts whose probe already finished are captured.
+        """
+        compiled = entry.prepared._compiled if self.rebindable else None
+        if not isinstance(compiled, CompiledPlan):
+            return
+        verdicts = compiled.engine_verdicts()
+        if not any(verdicts):
+            return
+        with self._lock:
+            self.verdicts[vfp] = verdicts
+            self.verdicts.move_to_end(vfp)
+            while len(self.verdicts) > VERDICT_MEMO_CAPACITY:
+                self.verdicts.popitem(last=False)
+
+    def _verdicts_for(self, vfp: str) -> tuple | None:
+        with self._lock:
+            verdicts = self.verdicts.get(vfp)
+            if verdicts is not None:
+                self.verdicts.move_to_end(vfp)
+        return verdicts
 
     def overlay_for(
         self, vfp: str, A: CSRMatrix, service: "SolveService"
@@ -328,7 +370,7 @@ class _PatternEntry:
                     return entry, True
                 continue  # the builder failed; this waiter takes over
             try:
-                entry = service._build_overlay(self, A)
+                entry = service._build_overlay(self, A, vfp)
             except BaseException:
                 with self._lock:
                     self._flights.pop(vfp, None)
@@ -824,7 +866,7 @@ class SolveService:
                 # The first values variant pays the full (simulated)
                 # plan-build cost; later variants pay only the rebind.
                 first = self._build_overlay(
-                    pattern, A, prep_time_s=pattern.build_prep_s
+                    pattern, A, vfp, prep_time_s=pattern.build_prep_s
                 )
                 pattern._install(vfp, first)
                 return pattern
@@ -869,10 +911,12 @@ class SolveService:
     ) -> _PatternEntry | None:
         """Reconstruct a pattern entry from the disk store, or ``None``.
 
-        Every failure mode — damaged bytes, version drift, a stale
-        fingerprint, a payload that no longer reconstructs — degrades to
-        ``None`` (a counted miss, so the caller falls through to a cold
-        build); nothing propagates to the request.
+        Every failure of the entry — damaged bytes, version drift, a
+        stale fingerprint, a payload that no longer reconstructs —
+        degrades to ``None`` (a counted miss, so the caller falls
+        through to a cold build).  The request's own values are bound
+        afterwards: values that fail to bind (a zero diagonal, say) are
+        that request's error, and the healthy entry stays on disk.
         """
         cfg = self.config
         A = job.A
@@ -886,50 +930,32 @@ class SolveService:
         if obs is not None:
             with obs.span("serve.store.load", method=method) as sp:
                 result, loaded = self.store.lookup(key, expect=expect)
-                pattern = self._reconstruct(loaded, key, job)
+                pattern = self._reconstruct(loaded, key)
                 if loaded is not None and pattern is None:
                     result = "corrupt"
                 sp.set(result=result)
         else:
             result, loaded = self.store.lookup(key, expect=expect)
-            pattern = self._reconstruct(loaded, key, job)
+            pattern = self._reconstruct(loaded, key)
             if loaded is not None and pattern is None:
                 result = "corrupt"
         if obs is not None:
             obs.serve_metrics.store_lookups.inc(result=result)
+        if pattern is not None:
+            # Bind the *incoming* values as the first overlay: a warm
+            # start pays one gather-rebind, never the Table 5 analysis.
+            first = self._build_overlay(pattern, A, job.vfp)
+            pattern._install(job.vfp, first)
         return pattern
 
-    def _reconstruct(
-        self, loaded, key: tuple, job: _GroupJob
-    ) -> _PatternEntry | None:
+    def _reconstruct(self, loaded, key: tuple) -> _PatternEntry | None:
         if loaded is None:
             return None
         try:
-            header, payload = loaded
-            pattern = self._pattern_from_payload(payload)
-            # Bind the *incoming* values as the first overlay: a warm
-            # start pays one gather-rebind, never the Table 5 analysis.
-            first = self._build_overlay(pattern, job.A)
-            pattern._install(job.vfp, first)
-            if header.get("values_fp") == job.vfp:
-                # Identical value bytes to the entry's writer: adopt its
-                # verified engine verdicts instead of re-probing them.
-                compiled = first.prepared._compiled
-                steps = getattr(compiled, "_steps", None) or []
-                for idx, dec in enumerate(
-                    payload.get("engine_decisions") or []
-                ):
-                    if not dec or idx >= len(steps):
-                        continue
-                    trust = getattr(steps[idx], "_trust_engine", None)
-                    if callable(trust):
-                        for dt, keep in dec.items():
-                            if keep:
-                                trust(np.dtype(dt))
+            return self._pattern_from_payload(loaded[1])
         except Exception:  # noqa: BLE001 - stale payload = counted miss
             self.store.count_corrupt(key)
             return None
-        return pattern
 
     def _pattern_from_payload(self, payload: dict) -> _PatternEntry:
         """A live :class:`_PatternEntry` from a deserialized payload.
@@ -965,15 +991,9 @@ class SolveService:
         if template_compiled is None:
             template_compiled = prepared_t._compile_quiet()
         if template_compiled is not None:
-            for idx, dec in enumerate(payload.get("engine_decisions") or []):
-                if not dec or idx >= len(template_compiled._steps):
-                    continue
-                seed = getattr(
-                    template_compiled._steps[idx], "_seed_engine", None
-                )
-                if callable(seed):
-                    for dt, keep in dec.items():
-                        seed(np.dtype(dt), bool(keep))
+            template_compiled.adopt_engine_verdicts(
+                payload["engine_decisions"]
+            )
         template_dist = None
         if cfg.n_devices > 1:
             sched = payload.get("dist_schedule")
@@ -990,7 +1010,7 @@ class SolveService:
                 scheduler=cfg.scheduler,
                 sync=cfg.sync_mode,
             )
-        return _PatternEntry(
+        pattern = _PatternEntry(
             method=payload["method"],
             fallback=bool(payload.get("fallback", False)),
             perm=payload.get("perm"),
@@ -1007,6 +1027,16 @@ class SolveService:
             capacity=cfg.overlay_capacity,
             evict_cb=self._overlay_evicted,
         )
+        # The writer's first overlay, verified on its real values: the
+        # same memo an evicted overlay fills, so one adoption path.
+        # Normalized here, so a malformed entry is a counted miss.
+        for vfp, verdicts in payload["values_verdicts"].items():
+            pattern.verdicts[str(vfp)] = tuple(
+                {np.dtype(dt): bool(keep) for dt, keep in decided.items()}
+                if decided else None
+                for decided in verdicts
+            )
+        return pattern
 
     def _persist_pattern(
         self,
@@ -1029,6 +1059,18 @@ class SolveService:
             self.store.count_skipped()
             return
         A = job.A
+        # Settle the first overlay's engines now, on its real values (the
+        # template's timed verdicts settle on the way): a loader adopts
+        # only verdicts these very bytes have passed.  Re-running the
+        # timed race there could also flip the template's winner and
+        # break loaded-vs-built bit identity.
+        dt = pattern.binder.dtype
+        first = pattern.overlays[job.vfp].prepared._compiled
+        values_verdicts = (
+            {job.vfp: first.engine_verdicts(resolve=dt)}
+            if isinstance(first, CompiledPlan) else {}
+        )
+        template = pattern.template_compiled
         payload = {
             "kind": "pattern",
             "rebindable": True,
@@ -1042,16 +1084,14 @@ class SolveService:
             "dtype": str(pattern.binder.dtype),
             "build_prep_s": pattern.build_prep_s,
             "rebind_prep_s": pattern.rebind_prep_s,
-            "engine_decisions": self._engine_decisions(
-                pattern, pattern.binder.dtype
+            "engine_decisions": (
+                template.engine_verdicts(resolve=dt)
+                if template is not None else ()
             ),
+            "values_verdicts": values_verdicts,
             "frozen_reports": (
-                (
-                    pattern.template_compiled._frozen,
-                    pattern.template_compiled._merged,
-                )
-                if pattern.template_compiled is not None
-                and pattern.template_compiled.pure
+                (template._frozen, template._merged)
+                if template is not None and template.pure
                 else None
             ),
             "dist_n_devices": cfg.n_devices,
@@ -1078,37 +1118,19 @@ class SolveService:
         else:
             self.store.put(key, header, payload)
 
-    def _engine_decisions(self, pattern: _PatternEntry, dtype) -> list:
-        """Resolve and capture the compiled template's per-segment numeric
-        engine choices for ``dtype``.
-
-        The keep-or-drop decision includes a *timed* probe (engine vs
-        kernel); re-running that race in a loading process could flip
-        the winner and break loaded-vs-built bit identity, so the
-        writing process resolves it now and ships the verdicts.
-        """
-        compiled = pattern.template_compiled
-        if compiled is None:
-            return []
-        dt = np.dtype(dtype)
-        out: list = []
-        for step in compiled._steps:
-            resolve = getattr(step, "_engine_for", None)
-            if getattr(step, "try_engine", False) and callable(resolve):
-                try:
-                    engine = resolve(dt)
-                except Exception:  # noqa: BLE001 - probe failure = kernel path
-                    engine = None
-                out.append({str(dt): engine is not None})
-            else:
-                out.append(None)
-        return out
-
     def _build_overlay(
-        self, pattern: _PatternEntry, A: CSRMatrix, *, prep_time_s: float | None = None
+        self,
+        pattern: _PatternEntry,
+        A: CSRMatrix,
+        vfp: str,
+        *,
+        prep_time_s: float | None = None,
     ) -> _PlanEntry:
-        """Bind ``A``'s values onto the pattern plan (or, for patterns
-        that could not be traced, run a full per-values build)."""
+        """Bind ``A``'s values (digest ``vfp``) onto the pattern plan (or,
+        for patterns that could not be traced, run a full per-values
+        build).  Values the pattern already verified adopt their
+        remembered engine verdicts; new values probe lazily, on their
+        first solve."""
         if not pattern.rebindable:
             return self._build_entry(A, pattern.requested_method)
         cfg = self.config
@@ -1119,7 +1141,10 @@ class SolveService:
             cfg.device,
             pattern.template.preprocess_report,
         )
-        prepared._compile_shared(pattern.template_compiled)
+        compiled = prepared._compile_shared(pattern.template_compiled)
+        verdicts = pattern._verdicts_for(vfp)
+        if verdicts is not None and compiled is not None:
+            compiled.adopt_engine_verdicts(verdicts)
         if cfg.check:
             L = (
                 A

@@ -62,7 +62,7 @@ __all__ = [
 MAGIC = b"RPS1"
 #: bumped whenever the container layout or the payload schema changes;
 #: old entries then deserialize as clean misses, never as garbage plans
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER_MAX = 1 << 20  # 1 MiB of JSON header is already absurd
 
@@ -300,9 +300,9 @@ class PlanStore:
         return "hit", (header, payload)
 
     def count_corrupt(self, key: Hashable | None = None) -> None:
-        """Reclassify a hit as corrupt: the entry decoded but could not
-        be *reconstructed* (e.g. rebinding the loaded plan failed).
-        Quarantines the file so it is not retried forever."""
+        """Reclassify a hit as corrupt: the entry decoded but its
+        payload could not be *reconstructed* into a plan.  Quarantines
+        the file so it is not retried forever."""
         with self._lock:
             self._hits -= 1
             self._corrupt += 1

@@ -8,9 +8,16 @@ same sign bits, same index arrays and dtypes — so solves stay
 bit-identical.  Where the two could differ (a product that is exactly
 zero, which SciPy's matmul drops; duplicate entries, which it sums) the
 engine falls back to the SciPy construction itself.
+
+The last section covers the serve layer's remembered verdicts: values
+bound again after their overlay was evicted adopt the engine verdicts
+they already earned instead of re-running the accuracy probe.
 """
 
 import sys
+import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,6 +38,8 @@ from repro.core.solver import SOLVERS  # noqa: E402
 from repro.formats.csr import CSRMatrix  # noqa: E402
 from repro.gpu.device import TITAN_RTX_SCALED  # noqa: E402
 from repro.kernels.base import prepare_lower, solve_dtype  # noqa: E402
+from repro.serve import SolveService, fingerprints  # noqa: E402
+from repro.serve.service import VERDICT_MEMO_CAPACITY  # noqa: E402
 from repro.validate.fuzz import FAMILIES  # noqa: E402
 
 from conftest import random_lower  # noqa: E402
@@ -217,3 +226,194 @@ def test_concurrent_overlays_build_scipy_equal_engines():
             engine = step._engines[f64]
             assert engine is not None
             _assert_same_engine(engine, _GstrsEngine(step.prep, engine.dtype))
+
+
+# --------------------------------------------------------------------- #
+# Remembered verdicts: values bound again skip the accuracy probe
+# --------------------------------------------------------------------- #
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Work dtype of every engine probe (``_TriStep._build_engine``)."""
+    calls = []
+    real = _TriStep._build_engine
+
+    def counted(step, work_dtype):
+        calls.append(np.dtype(work_dtype))
+        return real(step, work_dtype)
+
+    monkeypatch.setattr(_TriStep, "_build_engine", counted)
+    return calls
+
+
+def _scaled(L: CSRMatrix, seed: int) -> CSRMatrix:
+    """Same pattern, new values."""
+    f = np.random.default_rng(seed).uniform(0.5, 1.5, L.nnz)
+    return CSRMatrix(L.n_rows, L.n_cols, L.indptr, L.indices,
+                     (L.data * f).astype(L.data.dtype))
+
+
+def _vfp(A: CSRMatrix) -> str:
+    return fingerprints(A)[2]
+
+
+def _only_pattern(svc: SolveService):
+    (pattern,) = svc.cache._entries.values()
+    return pattern
+
+
+def _overlay_engines(pattern, A: CSRMatrix) -> list[dict]:
+    compiled = pattern.overlays[_vfp(A)].prepared._compiled
+    return [s._engines for s in _engine_steps(compiled)]
+
+
+@pytest.mark.parametrize("n_devices", [1, 4])
+def test_rebinding_seen_values_runs_no_probe(probes, n_devices):
+    """With one overlay slot every solve below evicts the previous
+    values; binding them again adopts their verdicts, probe-free, and
+    answers bit-identically to the first binding, fused or not."""
+    L = random_lower(300, 0.04, seed=41)
+    variants = [L, _scaled(L, 1), _scaled(L, 2)]
+    b = np.random.default_rng(3).standard_normal(L.n_rows)
+    with SolveService(method="column-block", solver_options={"nseg": 8},
+                      n_devices=n_devices, overlay_capacity=1,
+                      max_workers=1) as svc:
+        first = [svc.solve(V, b).x for V in variants]
+        assert probes, "the first bindings probe their engines"
+        probes.clear()
+        again = [svc.solve(V, b).x for V in variants]
+        batch = svc.solve_batch([(V, b) for V in variants])
+        pattern = _only_pattern(svc)
+        assert batch.buckets[0].fused
+        assert len(pattern.verdicts) == len(variants)
+        assert svc.stats().pattern_builds == 1
+    assert probes == []
+    for x0, x1, r in zip(first, again, batch):
+        assert np.array_equal(x0, x1)
+        assert np.array_equal(x0, r.x)
+
+
+def test_rejected_engine_stays_on_kernel_path_after_rebind(probes):
+    """A NaN fails the accuracy check; the remembered drop verdict pins
+    the kernel path when those values are bound again."""
+    L = random_lower(200, 0.05, seed=42)
+    bad = _with_entry(L, np.nan)
+    b = np.ones(L.n_rows)
+    with SolveService(overlay_capacity=1, max_workers=1) as svc:
+        x1 = svc.solve(bad, b).x
+        svc.solve(L, b)  # evicts the poisoned overlay
+        pattern = _only_pattern(svc)
+        assert any(d and d[F64] is False for d in pattern.verdicts[_vfp(bad)])
+        probes.clear()
+        x2 = svc.solve(bad, b).x
+        engines = _overlay_engines(pattern, bad)
+    assert probes == []
+    assert any(e[F64] is None for e in engines)
+    assert np.array_equal(x1, x2, equal_nan=True)
+
+
+def test_verdict_never_crosses_work_dtypes(probes):
+    """float32 values solved with a float32 right-hand side remember a
+    float32 verdict only: a float64 right-hand side still probes."""
+    L = random_lower(200, 0.05, seed=43).astype(np.float32)
+    with SolveService(overlay_capacity=1, max_workers=1) as svc:
+        svc.solve(L, np.ones(L.n_rows, dtype=np.float32))
+        svc.solve(_scaled(L, 1), np.ones(L.n_rows, dtype=np.float32))
+        pattern = _only_pattern(svc)
+        assert {dt for d in pattern.verdicts[_vfp(L)] if d for dt in d} == {F32}
+        probes.clear()
+        x = svc.solve(L, np.ones(L.n_rows)).x
+        engines = _overlay_engines(pattern, L)
+    assert probes and set(probes) == {F64}
+    assert all(set(e) == {F32, F64} for e in engines)
+    assert x.dtype == F64
+
+
+def test_memo_is_bounded_and_leaves_with_its_pattern():
+    L = random_lower(100, 0.06, seed=44)
+    variants = [_scaled(L, s) for s in range(VERDICT_MEMO_CAPACITY + 3)]
+    b = np.ones(L.n_rows)
+    with SolveService(overlay_capacity=1, cache_capacity=1,
+                      max_workers=1) as svc:
+        for V in variants:
+            svc.solve(V, b)
+        pattern = _only_pattern(svc)
+        # every evicted digest was remembered; the oldest fell out
+        assert list(pattern.verdicts) == [
+            _vfp(V) for V in variants[2:-1]
+        ]
+        memo = weakref.ref(pattern.verdicts)
+        del pattern
+        svc.solve(random_lower(90, 0.06, seed=45), np.ones(90))
+    assert memo() is None
+
+
+def test_only_completed_verdicts_are_recorded(monkeypatch):
+    """An overlay evicted while its probe is still running on another
+    worker leaves no verdict behind for that probe."""
+    L = random_lower(200, 0.05, seed=46)
+    slow, other = _scaled(L, 1), _scaled(L, 2)
+    b = np.ones(L.n_rows)
+    started, release = threading.Event(), threading.Event()
+    armed = []
+    real = _TriStep._build_engine
+
+    def gated(step, work_dtype):
+        if armed and armed.pop():
+            started.set()
+            assert release.wait(timeout=30)
+        return real(step, work_dtype)
+
+    monkeypatch.setattr(_TriStep, "_build_engine", gated)
+    with SolveService(overlay_capacity=1, max_workers=2) as svc:
+        svc.solve(L, b)  # settles the template's verdicts
+        armed.append(True)
+        fut = svc.submit(slow, b)
+        assert started.wait(timeout=30)
+        svc.solve(other, b)  # evicts the overlay mid-probe
+        pattern = _only_pattern(svc)
+        assert _vfp(slow) not in pattern.verdicts
+        release.set()
+        x = fut.result(timeout=30)[0].x
+        svc.solve(L, b)  # evicts `other`, whose probe completed
+        assert _vfp(other) in pattern.verdicts
+        assert np.array_equal(svc.solve(slow, b).x, x)
+
+
+def test_concurrent_bind_and_evict_stays_bit_identical():
+    """Many workers binding, evicting and re-binding overlays of one
+    pattern through the verdict memo all get the single-threaded
+    answers."""
+    L = random_lower(200, 0.05, seed=47)
+    variants = [L] + [_scaled(L, s) for s in range(5)]
+    b = np.random.default_rng(48).standard_normal(L.n_rows)
+    # distinct values per row: coalesced duplicates would run the
+    # multi-RHS path, which is not bitwise the single-RHS one
+    rng = np.random.default_rng(49)
+    picks = [rng.permutation(len(variants))[:3] for _ in range(160)]
+    with SolveService(overlay_capacity=2, max_workers=8) as svc:
+        ref = [svc.solve(V, b).x for V in variants]
+
+        def work(row):
+            if row[0] % 2:
+                return [svc.solve(variants[i], b).x for i in row]
+            return [r.x for r in svc.solve_batch([(variants[i], b) for i in row])]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 120
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futs = [pool.submit(work, row) for row in picks]
+                got = [f.result(timeout=max(0.0, deadline - time.monotonic()))
+                       for f in futs]
+        finally:
+            sys.setswitchinterval(interval)
+        stats = svc.stats()
+    assert stats.failed == 0
+    assert stats.overlay_evictions > 0
+    for row, xs in zip(picks, got):
+        for i, x in zip(row, xs):
+            assert np.array_equal(x, ref[i])

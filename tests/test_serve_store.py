@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import random_lower
+from repro.errors import SingularMatrixError
+from repro.formats.csr import CSRMatrix
 from repro.obs import Observability
 from repro.serve import PlanStore, ServiceConfig, SolveService
 from repro.serve.cache import PlanCache
+from repro.serve.workload import mixed_workload
 from repro.serve.store import (
     FORMAT_VERSION,
     MAGIC,
@@ -227,6 +230,63 @@ class TestWarmRestart:
         assert m.store_writes.total() == 1
         store.close()
         assert store.stats().writes == 1
+
+
+def _with_value(A: CSRMatrix, k: int, value: float) -> CSRMatrix:
+    data = A.data.copy()
+    data[k] = value
+    return CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, data)
+
+
+class TestLoadedValues:
+    """What a loader adopts, and what a bad request may do to an entry."""
+
+    def test_rejected_engine_stays_rejected_after_restart(self, tmp_path):
+        """A NaN in the factor fails the writer's engine accuracy check,
+        so it solves on the kernel path.  A restarted service must not
+        adopt the template's keep verdict for those values: it solves
+        them bit-identically, with zero pattern builds."""
+        wl = mixed_workload(6, scale=0.05, n_matrices=6, seed=42)
+        cfg = ServiceConfig(max_workers=2, store_path=str(tmp_path))
+        for name, A in wl.matrices.items():
+            rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
+            tail = (A.indices < rows) & (rows >= A.n_rows - A.n_rows // 10)
+            P = _with_value(A, int(np.flatnonzero(tail)[0]), np.nan)
+            b = np.ones(A.n_rows)
+            with SolveService(cfg) as writer:
+                x_writer = np.asarray(writer.solve(P, b).x)
+            with SolveService(cfg) as loader:
+                x_loader = np.asarray(loader.solve(P, b).x)
+                stats = loader.stats()
+            assert stats.pattern_builds == 0, name
+            assert stats.store_hits == 1, name
+            assert np.array_equal(x_writer, x_loader, equal_nan=True), name
+
+    def test_singular_request_leaves_the_entry_on_disk(self, tmp_path):
+        """Values that fail to bind are the request's error, not a
+        damaged entry: nothing is quarantined or rebuilt."""
+        wl = mixed_workload(6, scale=0.05, n_matrices=6, seed=42)
+        A = next(iter(wl.matrices.values()))
+        b = np.ones(A.n_rows)
+        cfg = ServiceConfig(store_path=str(tmp_path))
+        with SolveService(cfg) as svc:
+            x = svc.solve(A, b).x
+        rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
+        singular = _with_value(A, int(np.flatnonzero(A.indices == rows)[3]), 0.0)
+        with SolveService(cfg) as svc:
+            with pytest.raises(SingularMatrixError):
+                svc.solve(singular, b)
+            stats = svc.stats()
+        assert stats.failed == 1
+        assert stats.store.corrupt == 0
+        assert stats.pattern_builds == 0
+        assert len(list(tmp_path.glob("*.plan"))) == 1
+        with SolveService(cfg) as svc:
+            r = svc.solve(A, b)
+            stats = svc.stats()
+        assert stats.store_hits == 1
+        assert stats.pattern_builds == 0
+        assert np.array_equal(r.x, x)
 
 
 class TestStoreMaintenance:
