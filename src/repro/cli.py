@@ -514,14 +514,21 @@ def cmd_dist(args) -> int:
     )
     if args.check:
         x1, _ = prepared.solve(b)
+        # The first fused solve at a new width on each path must be
+        # bit-identical too.
+        B = np.random.default_rng(0).standard_normal((L.n_rows, 3))
+        fused = bool(np.array_equal(
+            dp.solve_multi(B)[0], prepared.solve_multi(B)[0]
+        ))
         resid = float(np.abs(L.matvec(np.asarray(x)) - b).max())
         dp.schedule.validate(dp.dag, dp.interconnect)
         bit = bool(np.array_equal(x, x1))
         print(
             f"check: residual {resid:.1e}; schedule invariants OK; "
-            f"bit-identical to single-device: {bit}"
+            f"bit-identical to single-device: {bit}; "
+            f"fused 3-RHS bit-identical: {fused}"
         )
-        if not bit:
+        if not (bit and fused):
             print("CHECK FAILED: sharded solution differs from the "
                   "single-device path", file=sys.stderr)
             return 1

@@ -1,8 +1,8 @@
-"""Compiled execution plans: the zero-allocation repeated-solve path.
+"""Compiled execution plans: the one executor every solve runs through.
 
 An :class:`ExecutionPlan` is built once and then solved thousands of
 times (the Table 5 economics — ILU factors inside Krylov loops, repeated
-right-hand-side streams).  The plain ``plan.solve`` still pays, on every
+right-hand-side streams).  The plan's reference loop pays, on every
 call, per-segment ``isinstance`` dispatch, a re-derived work dtype,
 fresh work/output allocations, and the construction of one
 :class:`KernelReport` per segment even though every built-in kernel's
@@ -12,9 +12,11 @@ report is a pure function of ``(aux, device, n_rhs)``.
 
 * each segment becomes a prebound step object — kernel, aux, slice
   bounds and numeric engine resolved once, no type tests on the hot path;
-* one simulated :class:`KernelReport` per segment is *frozen* at compile
-  time (guarded by the kernels' ``pure_report`` contract) and re-merged
-  cheaply per solve;
+* one simulated :class:`KernelReport` per segment is *frozen* by one
+  probe execution per RHS width (guarded by the kernels' ``pure_report``
+  contract) and re-merged cheaply per solve; a segment whose kernel does
+  not declare ``pure_report`` becomes a live step that runs the kernel's
+  reporting path and contributes its live report instead;
 * work/scratch buffers come from a per-plan :class:`_ArenaPool`, keyed
   by ``(dtype, n_rhs)`` and safe under the serve thread pool, so warm
   solves allocate nothing but the result array they hand back;
@@ -37,14 +39,15 @@ report is a pure function of ``(aux, device, n_rhs)``.
   (:meth:`CompiledPlan.adopt_engine_verdicts`) instead of probing
   again.  With SciPy absent everything still works on the kernel path.
 
-Observability is preserved by construction: with an active
-:class:`repro.obs.Observability` the compiled steps run inside the same
-per-segment spans the plan path emits, with identical profile rows and
-live traffic counters — the per-segment simulated reports are read from
-the frozen captures (valid under the ``pure_report`` contract) instead
-of being rebuilt, so a traced warm solve keeps the compiled numerics
-and pays only for the instrumentation itself.  The disabled-obs check
-remains a single thread-local lookup.
+Single-RHS, multi-RHS, plan-order and schedule-order solves, observed or
+not, all run one step loop (:meth:`CompiledPlan._execute`), so they are
+bit-identical from the first call.  With an active
+:class:`repro.obs.Observability` that loop emits one ``segment.*`` span,
+profile row, launch count and traffic share per step, tagged with the
+step's device (0 without a schedule); the per-segment simulated reports
+are read from the frozen captures instead of being rebuilt, so a traced
+solve keeps the compiled numerics and pays only for the instrumentation
+itself.  The disabled-obs check remains a single thread-local lookup.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport, SolveReport, merge_reports
 from repro.kernels.base import PreparedLower, solve_dtype
-from repro.core.plan import ExecutionPlan, TriSegment
+from repro.core.plan import ExecutionPlan, TriSegment, run_segment
 from repro.obs import runtime as obs_runtime
 from repro.obs.clock import monotonic
 from repro.obs.trace import Span
@@ -227,7 +230,7 @@ class _TriStep:
                  "try_engine", "_engines", "_template", "_layout")
 
     def __init__(self, seg: TriSegment, device: DeviceModel,
-                 try_engine: bool, template: "_TriStep | None" = None) -> None:
+                 template: "_TriStep | None" = None) -> None:
         self.lo = int(seg.lo)
         self.hi = int(seg.hi)
         self.kernel = seg.kernel
@@ -235,8 +238,7 @@ class _TriStep:
         self.device = device
         self.prep = _segment_prep(seg)
         self.try_engine = bool(
-            try_engine
-            and _HAVE_SUPERLU
+            _HAVE_SUPERLU
             and self.prep is not None
             and self.hi - self.lo >= ENGINE_MIN_ROWS
             and seg.kernel.name != "diagonal"
@@ -367,28 +369,16 @@ class _TriStep:
 
     # -- hot path ----------------------------------------------------- #
     def run(self, work: np.ndarray, out: np.ndarray,
-            scratch: np.ndarray | None) -> None:
+            scratch: np.ndarray | None, multi: bool) -> None:
         lo, hi = self.lo, self.hi
         if self.try_engine and scratch is not None:
             engine = self._engine_for(out.dtype)
             if engine is not None:
                 engine.solve_into(work[lo:hi], out[lo:hi], scratch[lo:hi])
                 return
-        out[lo:hi] = self.kernel.solve_numeric(
-            self.aux, work[lo:hi], self.device
-        )
-
-    def run_multi(self, work: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray | None) -> None:
-        lo, hi = self.lo, self.hi
-        if self.try_engine and scratch is not None:
-            engine = self._engine_for(out.dtype)
-            if engine is not None:
-                engine.solve_into(work[lo:hi], out[lo:hi], scratch[lo:hi])
-                return
-        out[lo:hi] = self.kernel.solve_numeric_multi(
-            self.aux, work[lo:hi], self.device
-        )
+        kernel = self.kernel
+        solve = kernel.solve_numeric_multi if multi else kernel.solve_numeric
+        out[lo:hi] = solve(self.aux, work[lo:hi], self.device)
 
 
 class _SpMVStep:
@@ -404,19 +394,32 @@ class _SpMVStep:
         self.matrix = seg.matrix
         self.kernel = seg.kernel
 
-    def run(self, work, out, scratch) -> None:
-        self.kernel.run_numeric(
+    def run(self, work, out, scratch, multi: bool) -> None:
+        kernel = self.kernel
+        run = kernel.run_numeric_multi if multi else kernel.run_numeric
+        run(
             self.matrix,
             out[self.col_lo:self.col_hi],
             work[self.row_lo:self.row_hi],
         )
 
-    def run_multi(self, work, out, scratch) -> None:
-        self.kernel.run_numeric_multi(
-            self.matrix,
-            out[self.col_lo:self.col_hi],
-            work[self.row_lo:self.row_hi],
-        )
+
+class _LiveStep:
+    """A segment whose kernel does not declare ``pure_report``.
+
+    Its simulated report may depend on the right-hand side, so it runs
+    the kernel's reporting path on every solve and returns the live
+    report, which replaces the segment's frozen capture.
+    """
+
+    __slots__ = ("seg", "device")
+
+    def __init__(self, seg, device: DeviceModel) -> None:
+        self.seg = seg
+        self.device = device
+
+    def run(self, work, out, scratch, multi: bool) -> KernelReport:
+        return run_segment(self.seg, work, out, self.device, multi)
 
 
 def _segment_prep(seg: TriSegment) -> PreparedLower | None:
@@ -501,16 +504,18 @@ class _ArenaPool:
 # The compiled plan
 # --------------------------------------------------------------------- #
 class CompiledPlan:
-    """A reusable, allocation-free executor over an :class:`ExecutionPlan`.
+    """The executor every solve runs through.
 
     Built via :func:`compile_plan` (or lazily by
-    :meth:`repro.PreparedSolve.compile`).  ``solve``/``solve_multi``
-    return exactly what the plan's own methods return — same solution,
-    same dtype promotion, same simulated :class:`SolveReport` — but the
-    warm path does no per-segment dispatch, no report construction and
-    no work-buffer allocation.  Plans containing kernels that do not
-    declare ``pure_report`` simply delegate to the plan (correct, just
-    not compiled).
+    :meth:`repro.PreparedSolve.compile`).  ``solve``/``solve_multi`` are
+    drop-ins for the plan's reference loop — same dtype promotion, same
+    simulated :class:`SolveReport` — but a warm solve does no
+    per-segment dispatch, no report construction and no work-buffer
+    allocation.  ``solve_ordered``/``solve_multi_ordered`` run the same
+    steps in another topological order of the segment DAG, which is all
+    a sharded schedule is (see :class:`repro.dist.DistributedPlan`).
+    Segments whose kernels do not declare ``pure_report`` run as live
+    steps that rebuild their report on every solve.
     """
 
     def __init__(self, plan: ExecutionPlan, device: DeviceModel, *,
@@ -521,28 +526,21 @@ class CompiledPlan:
         self.n = plan.n
         self.method = plan.method
         self.perm = plan.perm
+        #: every kernel declares ``pure_report``, so no step is live
         self.pure = all(
             getattr(seg.kernel, "pure_report", False) for seg in plan.segments
         )
-        self._dtype_cache: dict = {}
-        self._multi_frozen: dict[int, tuple[list[KernelReport], SolveReport]] = {}
-        self._multi_lock = threading.Lock()
-        #: instrumentation constants per frozen capture ("s" or RHS width)
+        self._order = range(len(plan.segments))
+        #: instrumentation constants per (RHS width, schedule)
         self._obs_cache: dict = {}
-        if not self.pure:
-            self._steps = []
-            self._frozen = []
-            self._merged = None
-            self._pool = None
-            return
         if share_from is not None:
             self._init_shared(share_from)
             return
-        self._steps = [
-            _TriStep(seg, device, try_engine=True)
-            if isinstance(seg, TriSegment) else _SpMVStep(seg)
-            for seg in plan.segments
-        ]
+        self._dtype_cache: dict = {}
+        #: RHS width (0 = one vector) -> frozen (per-segment reports, merged)
+        self._captures: dict[int, tuple[list[KernelReport], SolveReport]] = {}
+        self._capture_lock = threading.Lock()
+        self._steps = [self._step(seg) for seg in plan.segments]
         # Triangular segments tiling [0, n) exactly means every output
         # element is written before it is read — no zero-fill needed.
         spans = sorted((s.lo, s.hi) for s in plan.tri_segments)
@@ -567,53 +565,48 @@ class CompiledPlan:
         # same sharing `_init_shared` does between values overlays.
         if frozen is not None and len(frozen) == 2 \
                 and len(frozen[0]) == len(plan.segments):
-            self._frozen, self._merged = frozen
+            self._captures[0] = tuple(frozen)
         else:
-            self._frozen, self._merged = self._capture()
+            self._capture(0)
+
+    def _step(self, seg, template=None):
+        if not getattr(seg.kernel, "pure_report", False):
+            return _LiveStep(seg, self.device)
+        if isinstance(seg, TriSegment):
+            return _TriStep(seg, self.device, template)
+        return _SpMVStep(seg)
 
     def _init_shared(self, tmpl: "CompiledPlan") -> None:
         """Compile as a values overlay of a pattern template.
 
         Everything value-independent is shared outright: the frozen
-        reports (pure functions of segment structure + device), the
-        dtype-promotion memo, the multi-RHS freeze dict and its lock,
-        and — the big one — the arena pool, so all overlays of one
-        pattern draw scratch buffers from a single bounded free-list.
-        Only the step objects are rebuilt, each aimed at this plan's
-        value arrays and inheriting its template step's engine decision.
+        reports of every RHS width (pure functions of segment structure
+        + device, both pinned by the pattern-level cache key), the
+        dtype-promotion memo, and — the big one — the arena pool, so all
+        overlays of one pattern draw scratch buffers from a single
+        bounded free-list.  Only the step objects are rebuilt, each
+        aimed at this plan's value arrays and inheriting its template
+        step's engine decision.
         """
-        if not tmpl.pure:
-            raise ValueError("shared compilation requires a pure template")
         if (
             tmpl.n != self.n
             or len(tmpl._steps) != len(self.plan.segments)
             or tmpl.method != self.method
         ):
             raise ValueError("template plan structure does not match")
-        self._dtype_cache = tmpl._dtype_cache
-        self._multi_frozen = tmpl._multi_frozen
-        self._multi_lock = tmpl._multi_lock
         steps = []
         for seg, tstep in zip(self.plan.segments, tmpl._steps):
-            if isinstance(seg, TriSegment):
-                if not isinstance(tstep, _TriStep):
-                    raise ValueError("template segment kinds do not match")
-                steps.append(
-                    _TriStep(seg, self.device, try_engine=True, template=tstep)
-                )
-            else:
-                if isinstance(tstep, _TriStep):
-                    raise ValueError("template segment kinds do not match")
-                steps.append(_SpMVStep(seg))
+            step = self._step(seg, tstep)
+            if type(step) is not type(tstep):
+                raise ValueError("template segment kinds do not match")
+            steps.append(step)
         self._steps = steps
+        self._dtype_cache = tmpl._dtype_cache
+        self._captures = tmpl._captures
+        self._capture_lock = tmpl._capture_lock
         self._needs_zero = tmpl._needs_zero
         self._mat_dtype = tmpl._mat_dtype
         self._pool = tmpl._pool
-        # no _capture() probe: the frozen reports depend only on the
-        # segment structure, device and value bytes — all pinned by the
-        # pattern-level cache key
-        self._frozen = tmpl._frozen
-        self._merged = tmpl._merged
 
     # -- engine verdicts ---------------------------------------------- #
     def engine_verdicts(self, resolve=None) -> tuple:
@@ -658,46 +651,46 @@ class CompiledPlan:
             for dt, keep in decided.items():
                 adopt(dt, keep)
 
-    # -- compile-time capture ----------------------------------------- #
+    # -- frozen reports ----------------------------------------------- #
     def _scratch_dtype(self, work_dtype):
         if self._mat_dtype is None:
             return None
         return solve_dtype(self._mat_dtype, work_dtype)
 
-    def _capture(self) -> tuple[list[KernelReport], SolveReport]:
-        """One probe execution freezing the per-segment reports.
+    def _capture(self, k: int) -> tuple[list[KernelReport], SolveReport]:
+        """One probe execution at RHS width ``k`` (0 = one vector)
+        through the kernels' reporting path, freezing the per-segment
+        reports for every later solve at this width.
 
-        Safe because every kernel in the plan declared ``pure_report``:
-        the simulated report depends only on ``(aux, device, n_rhs)``.
+        Valid under the ``pure_report`` contract: the simulated report
+        depends only on ``(aux, device, n_rhs)``.  A live step's entry is
+        only a placeholder, replaced by its live report on every solve.
         """
-        work = np.linspace(0.5, 1.5, self.n)
-        out = np.zeros(self.n)
+        n = self.n
+        shape = (n, k) if k else (n,)
+        work = np.linspace(0.5, 1.5, n * max(k, 1)).reshape(shape)
+        out = np.zeros(shape)
         reports = [
-            self.plan._run_segment(seg, work, out, self.device, False)
+            run_segment(seg, work, out, self.device, k > 0)
             for seg in self.plan.segments
         ]
-        merged = merge_reports(
+        captured = (reports, self._merge(reports, k))
+        with self._capture_lock:
+            return self._captures.setdefault(k, captured)
+
+    def _captured(self, k: int) -> tuple[list[KernelReport], SolveReport]:
+        """The frozen capture at RHS width ``k``, probed on first use."""
+        return self._captures.get(k) or self._capture(k)
+
+    def _merge(self, reports: list, k: int) -> SolveReport:
+        if k:
+            return merge_reports(self.method, reports, n_rhs=k, fused=True)
+        return merge_reports(
             self.method,
             reports,
             n_tri=self.plan.n_tri_segments,
             n_spmv=self.plan.n_spmv_segments,
         )
-        return reports, merged
-
-    def _capture_multi(self, B_work: np.ndarray, X: np.ndarray):
-        """First solve at a new RHS width: run through the kernels'
-        reporting path once, freeze the per-k reports for every later
-        solve of the same width."""
-        reports = [
-            self.plan._run_segment(seg, B_work, X, self.device, True)
-            for seg in self.plan.segments
-        ]
-        merged = merge_reports(
-            self.method, reports, n_rhs=B_work.shape[1], fused=True
-        )
-        with self._multi_lock:
-            self._multi_frozen.setdefault(B_work.shape[1], (reports, merged))
-        return merged
 
     def _work_dtype(self, b_dtype) -> np.dtype:
         dt = self._dtype_cache.get(b_dtype)
@@ -706,304 +699,236 @@ class CompiledPlan:
             self._dtype_cache[b_dtype] = dt
         return dt
 
-    def _fresh_report(self, merged: SolveReport) -> SolveReport:
-        return SolveReport(
-            method=merged.method,
-            time_s=merged.time_s,
-            flops=merged.flops,
-            launches=merged.launches,
-            bytes_moved=merged.bytes_moved,
-            kernels=list(merged.kernels),
-            detail=dict(merged.detail),
-        )
-
-    # -- hot paths ----------------------------------------------------- #
-    def _obs_static(self, key, frozen) -> tuple:
-        """Instrumentation constants for one frozen capture list.
-
-        Everything a traced compiled solve emits except the wall times —
-        span attributes, profile-row templates, per-kernel launch
-        totals, and the live Tables 1-2 traffic sums — is a pure
-        function of (segment layout, frozen reports), so it is computed
-        once per capture and replayed on every warm observed solve.
-        """
-        cached = self._obs_cache.get(key)
-        if cached is not None:
-            return cached
-        rows: list[tuple] = []
-        launch_totals: dict[str, int] = {}
-        live_b = 0
-        live_x = 0
-        for idx, (meta, rep) in enumerate(
-            zip(self.plan._segment_meta(), frozen)
-        ):
-            span_name, kind, seg_rows, cols, nnz, kname, d_b, d_x = meta
-            attrs = {"index": idx, "kernel": kname, "rows": seg_rows,
-                     "nnz": nnz, "sim_time_s": rep.time_s}
-            tmpl = {"index": idx, "kind": kind, "kernel": kname,
-                    "rows": seg_rows, "cols": cols, "nnz": nnz,
-                    "sim_time_s": rep.time_s, "wall_time_s": 0.0,
-                    "launches": rep.launches}
-            rows.append((span_name, attrs, tmpl))
-            launch_totals[kname] = launch_totals.get(kname, 0) + rep.launches
-            live_b += d_b
-            live_x += d_x
-        cached = (rows, launch_totals, live_b, live_x)
-        self._obs_cache[key] = cached
-        return cached
-
-    def _run_steps_observed(
-        self, obs, work, out, scratch, key, frozen, multi: bool
-    ) -> list[dict]:
-        """The compiled step loop under an active observability bundle.
-
-        Emits exactly what ``plan._execute_segments`` emits — one
-        ``segment.*`` span per step, kernel-launch counters, profile
-        rows, and the live Tables 1-2 traffic accounting — but keeps the
-        compiled numerics.  The per-segment simulated reports come from
-        the frozen captures; the ``pure_report`` contract guarantees
-        they equal what a live reporting pass would rebuild.
-
-        Segment spans are leaves, so they skip the context-manager
-        stack machinery: parent/trace resolved once per solve, spans
-        built from the precomputed attrs (shared read-only dicts) with
-        two clock reads around each step, and handed to the tracer in
-        one batched append.
-        """
-        static_rows, launch_totals, live_b, live_x = self._obs_static(key, frozen)
-        tracer = obs.tracer
-        tid, pid, thread = tracer.leaf_context()
-        next_id = tracer.next_span_id
-        profile: list[dict] = []
-        leaves: list[Span] = []
-        for step, (span_name, attrs, tmpl) in zip(self._steps, static_rows):
-            t0 = monotonic()
-            if multi:
-                step.run_multi(work, out, scratch)
-            else:
-                step.run(work, out, scratch)
-            t1 = monotonic()
-            leaves.append(
-                Span(span_name, tid, next_id(), pid, t0, t1, thread, attrs)
+    def _report(self, k: int, reports: list, profile) -> SolveReport:
+        """A fresh report of one solve at RHS width ``k``: the frozen
+        merge, or a new one when live steps replaced some reports."""
+        frozen, merged = self._captures[k]
+        if reports is frozen:
+            report = SolveReport(
+                method=merged.method,
+                time_s=merged.time_s,
+                flops=merged.flops,
+                launches=merged.launches,
+                bytes_moved=merged.bytes_moved,
+                kernels=list(merged.kernels),
+                detail=dict(merged.detail),
             )
-            row = dict(tmpl)
-            row["wall_time_s"] = t1 - t0
-            profile.append(row)
-        tracer.record_leaves(leaves)
-        inc = obs.serve_metrics.kernel_launches.inc
-        for kname, n in launch_totals.items():
-            inc(n, kernel=kname, device="0")
-        obs_runtime.record_solve_traffic(obs, self.plan, live_b, live_x)
-        return profile
+        else:
+            report = self._merge(reports, k)
+        if profile is not None:
+            report.profile = profile
+        return report
 
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """One SpTRSV; drop-in for ``plan.solve(b, device)``."""
-        if not self.pure:
-            return self.plan.solve(b, self.device)
+    # -- the step loop ------------------------------------------------- #
+    def _execute(self, B: np.ndarray, k: int, order, schedule=None):
+        """The one step loop behind every solve.
+
+        Checks an arena out of the pool, permutes ``B`` (RHS width ``k``,
+        0 = one vector) into it, runs the steps in ``order``, and
+        un-permutes the result.  Returns ``(x, reports, profile)``: the
+        per-segment reports are the frozen capture at this width with
+        live steps' reports substituted, and ``profile`` holds the
+        per-segment rows under an active observability bundle (``None``
+        otherwise).  ``schedule`` tags the instrumentation with each
+        segment's device; without one every segment runs on device 0.
+        For any topological order of the segment DAG every step sees the
+        same operands, so the result is bit-identical across orders.
+        """
         obs = obs_runtime.active()
-        b = np.asarray(b)
-        if b.shape != (self.n,):
-            raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        dtype = self._work_dtype(b.dtype)
-        arena = self._pool.acquire(dtype, 0)
+        reports = self._captured(k)[0]
+        profile = None
+        dtype = self._work_dtype(B.dtype)
+        arena = self._pool.acquire(dtype, k)
         try:
             work = arena.work
             perm = self.perm
             if perm is not None:
-                if b.dtype == dtype:
-                    np.take(b, perm, out=work)
+                if B.dtype == dtype:
+                    np.take(B, perm, axis=0, out=work)
                 else:
-                    work[...] = b[perm]
+                    work[...] = B[perm]
             else:
-                np.copyto(work, b, casting="unsafe")
-            result = np.empty(self.n, dtype=dtype)
+                np.copyto(work, B, casting="unsafe")
+            result = np.empty(work.shape, dtype=dtype)
             out = result if perm is None else arena.out
             if self._needs_zero:
                 out.fill(0)
             scratch = arena.scratch
-            if obs is None:
-                profile = None
-                for step in self._steps:
-                    step.run(work, out, scratch)
+            if obs is None and self.pure:
+                steps = self._steps
+                multi = k > 0
+                for idx in order:
+                    steps[idx].run(work, out, scratch, multi)
             else:
-                profile = self._run_steps_observed(
-                    obs, work, out, scratch, "s", self._frozen, multi=False
+                reports, profile = self._run_traced(
+                    obs, order, schedule, work, out, scratch, k, reports
                 )
             if perm is not None:
                 result[perm] = out
         finally:
             self._pool.release(arena)
-        report = self._fresh_report(self._merged)
-        if profile is not None:
-            report.profile = profile
-        return result, report
+        return result, reports, profile
 
-    # -- ordered execution (multi-device schedules) -------------------- #
-    def _check_order(self, order) -> None:
+    def _obs_static(self, k: int, schedule) -> tuple:
+        """Instrumentation constants for one (RHS width, schedule).
+
+        Everything a traced solve emits except the wall times and the
+        live steps' reports — span attributes, profile-row templates,
+        per-(kernel, device) launch totals and per-device traffic — is a
+        pure function of the segment layout, the frozen capture at this
+        width and the device assignment, so it is computed once and
+        replayed on every warm observed solve.
+        """
+        key = (k, id(schedule))
+        cached = self._obs_cache.get(key)
+        if cached is not None:
+            return cached
+        if schedule is None:
+            n_devices, assignment = 1, [0] * len(self._steps)
+        else:
+            n_devices, assignment = schedule.n_devices, schedule.assignment
+        rows: list[tuple] = []
+        launches: dict[tuple, int] = {}
+        live_b = [0] * n_devices
+        live_x = [0] * n_devices
+        for idx, (seg, step, rep, dev) in enumerate(zip(
+            self.plan.segments, self._steps, self._captures[k][0], assignment
+        )):
+            kname = seg.kernel.name
+            if isinstance(seg, TriSegment):
+                kind = "tri"
+                seg_rows = cols = f"{seg.lo}:{seg.hi}"
+            else:
+                kind = "spmv"
+                seg_rows = f"{seg.row_lo}:{seg.row_hi}"
+                cols = f"{seg.col_lo}:{seg.col_hi}"
+                live_x[dev] += seg.n_cols
+            live_b[dev] += seg.n_rows
+            attrs = {"index": idx, "kernel": kname, "device": dev,
+                     "rows": seg_rows, "nnz": seg.nnz,
+                     "sim_time_s": rep.time_s}
+            row = {"index": idx, "kind": kind, "kernel": kname,
+                   "rows": seg_rows, "cols": cols, "nnz": seg.nnz,
+                   "sim_time_s": rep.time_s, "wall_time_s": 0.0,
+                   "launches": rep.launches}
+            rows.append(("segment." + kind, attrs, row))
+            if not isinstance(step, _LiveStep):
+                label = (kname, str(dev))
+                launches[label] = launches.get(label, 0) + rep.launches
+        # the schedule rides along so its id cannot be reused while cached
+        cached = (rows, launches, live_b, live_x, schedule)
+        self._obs_cache[key] = cached
+        return cached
+
+    def _run_traced(self, obs, order, schedule, work, out, scratch, k,
+                    reports):
+        """The step loop when a solve has something to record: the live
+        reports of steps without ``pure_report`` and, under an active
+        bundle, one ``segment.*`` leaf span, profile row, launch count
+        and traffic share per step, tagged with the step's device.
+
+        The numerics are the bare loop's.  Segment spans are leaves, so
+        they skip the context-manager stack machinery: parent/trace
+        resolved once per solve, spans built from the precomputed attrs
+        (shared read-only dicts) with two clock reads around each step,
+        and handed to the tracer in one batched append.
+        """
+        steps = self._steps
+        multi = k > 0
         if not self.pure:
-            raise ValueError(
-                "plan contains kernels without pure_report; ordered "
-                "execution must go through the plan path"
+            reports = list(reports)
+        if obs is None:
+            for idx in order:
+                rep = steps[idx].run(work, out, scratch, multi)
+                if rep is not None:
+                    reports[idx] = rep
+            return reports, None
+        rows, launches, live_b, live_x, _ = self._obs_static(k, schedule)
+        inc = obs.serve_metrics.kernel_launches.inc
+        tracer = obs.tracer
+        tid, pid, thread = tracer.leaf_context()
+        next_id = tracer.next_span_id
+        profile: list[dict] = []
+        leaves: list[Span] = []
+        for idx in order:
+            span_name, attrs, row = rows[idx]
+            t0 = monotonic()
+            rep = steps[idx].run(work, out, scratch, multi)
+            t1 = monotonic()
+            row = dict(row)
+            if rep is not None:
+                reports[idx] = rep
+                attrs = dict(attrs, sim_time_s=rep.time_s)
+                row.update(sim_time_s=rep.time_s, launches=rep.launches)
+                inc(rep.launches, kernel=attrs["kernel"],
+                    device=str(attrs["device"]))
+            row["wall_time_s"] = t1 - t0
+            leaves.append(
+                Span(span_name, tid, next_id(), pid, t0, t1, thread, attrs)
             )
-        if sorted(order) != list(range(len(self._steps))):
+            profile.append(row)
+        tracer.record_leaves(leaves)
+        for (kname, dev), n in launches.items():
+            inc(n, kernel=kname, device=dev)
+        if schedule is None:
+            obs_runtime.record_solve_traffic(
+                obs, self.plan, live_b[0], live_x[0]
+            )
+        else:
+            obs_runtime.record_dist_solve(
+                obs, self.plan, schedule, live_b, live_x
+            )
+        return reports, profile
+
+    # -- entry points -------------------------------------------------- #
+    def _check_b(self, b) -> np.ndarray:
+        b = np.asarray(b)
+        if b.shape != (self.n,):
+            raise ShapeMismatchError(f"b must have shape ({self.n},)")
+        return b
+
+    def _check_B(self, B) -> np.ndarray:
+        B = np.asarray(B)
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
+        return B
+
+    def _check_order(self, order) -> None:
+        if sorted(order) != list(self._order):
             raise ValueError(
                 f"order must be a permutation of range({len(self._steps)})"
             )
 
-    def solve_ordered(self, b: np.ndarray, order, step_cb=None) -> np.ndarray:
-        """Run the compiled steps in ``order`` (a permutation of segment
-        indices) and return the solution.
-
-        The entry point of :class:`repro.dist.DistributedPlan`: for any
-        topological order of the plan's segment DAG this performs the
-        same floating-point operations on the same operands as
-        :meth:`solve`, so the result is bit-identical to the
-        single-device compiled path.  No report is built — a sharded
-        schedule times itself.
-
-        ``step_cb(idx, t0_s, t1_s)``, when given, is called after each
-        step with its segment index and wall-clock bounds — how the
-        sharded executor emits per-segment spans without giving up the
-        compiled numerics.
-        """
-        self._check_order(order)
-        b = np.asarray(b)
-        if b.shape != (self.n,):
-            raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        dtype = self._work_dtype(b.dtype)
-        arena = self._pool.acquire(dtype, 0)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if b.dtype == dtype:
-                    np.take(b, perm, out=work)
-                else:
-                    work[...] = b[perm]
-            else:
-                np.copyto(work, b, casting="unsafe")
-            result = np.empty(self.n, dtype=dtype)
-            out = result if perm is None else arena.out
-            if self._needs_zero:
-                out.fill(0)
-            scratch = arena.scratch
-            steps = self._steps
-            if step_cb is None:
-                for idx in order:
-                    steps[idx].run(work, out, scratch)
-            else:
-                for idx in order:
-                    t0 = monotonic()
-                    steps[idx].run(work, out, scratch)
-                    step_cb(idx, t0, monotonic())
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        return result
-
-    def solve_multi_ordered(self, B: np.ndarray, order, step_cb=None) -> np.ndarray:
-        """Multi-RHS :meth:`solve_ordered`; bit-identical to the frozen
-        multi-RHS path of :meth:`solve_multi` for topological orders."""
-        self._check_order(order)
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.n:
-            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
-        k = B.shape[1]
-        dtype = self._work_dtype(B.dtype)
-        arena = self._pool.acquire(dtype, k)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if B.dtype == dtype:
-                    np.take(B, perm, axis=0, out=work)
-                else:
-                    work[...] = B[perm]
-            else:
-                np.copyto(work, B, casting="unsafe")
-            result = np.empty((self.n, k), dtype=dtype)
-            out = result if perm is None else arena.out
-            if self._needs_zero:
-                out.fill(0)
-            scratch = arena.scratch
-            steps = self._steps
-            if step_cb is None:
-                for idx in order:
-                    steps[idx].run_multi(work, out, scratch)
-            else:
-                for idx in order:
-                    t0 = monotonic()
-                    steps[idx].run_multi(work, out, scratch)
-                    step_cb(idx, t0, monotonic())
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        return result
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+        """One SpTRSV; drop-in for ``plan.solve(b, device)``."""
+        x, reports, profile = self._execute(self._check_b(b), 0, self._order)
+        return x, self._report(0, reports, profile)
 
     def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Fused multi-RHS solve; drop-in for ``plan.solve_multi``."""
-        if not self.pure:
-            return self.plan.solve_multi(B, self.device)
-        obs = obs_runtime.active()
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.n:
-            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
+        B = self._check_B(B)
         k = B.shape[1]
-        dtype = self._work_dtype(B.dtype)
-        arena = self._pool.acquire(dtype, k)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if B.dtype == dtype:
-                    np.take(B, perm, axis=0, out=work)
-                else:
-                    work[...] = B[perm]
-            else:
-                np.copyto(work, B, casting="unsafe")
-            result = np.empty((self.n, k), dtype=dtype)
-            out = result if perm is None else arena.out
-            profile = None
-            frozen = self._multi_frozen.get(k)
-            if frozen is None:
-                # First solve at this RHS width: run the kernels'
-                # reporting path once — instrumented when observed, so
-                # the spans/profile of a traced first solve are intact —
-                # and freeze the per-segment reports for later solves.
-                out.fill(0)
-                if obs is None:
-                    merged = self._fresh_report(self._capture_multi(work, out))
-                else:
-                    reports, profile = self.plan._execute_segments(
-                        work, out, self.device, multi=True
-                    )
-                    raw = merge_reports(
-                        self.method, reports, n_rhs=k, fused=True
-                    )
-                    with self._multi_lock:
-                        self._multi_frozen.setdefault(k, (reports, raw))
-                    merged = self._fresh_report(raw)
-            else:
-                if self._needs_zero:
-                    out.fill(0)
-                scratch = arena.scratch
-                if obs is None:
-                    for step in self._steps:
-                        step.run_multi(work, out, scratch)
-                else:
-                    profile = self._run_steps_observed(
-                        obs, work, out, scratch, k, frozen[0], multi=True
-                    )
-                merged = self._fresh_report(frozen[1])
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        if profile is not None:
-            merged.profile = profile
-        return result, merged
+        X, reports, profile = self._execute(B, k, self._order)
+        return X, self._report(k, reports, profile)
+
+    def solve_ordered(self, b: np.ndarray, order) -> np.ndarray:
+        """Run the compiled steps in ``order`` (a permutation of segment
+        indices) and return the solution.
+
+        For any topological order of the plan's segment DAG this performs
+        the same floating-point operations on the same operands as
+        :meth:`solve`, so the result is bit-identical to it.  No report
+        is built — a sharded schedule times itself.
+        """
+        self._check_order(order)
+        return self._execute(self._check_b(b), 0, order)[0]
+
+    def solve_multi_ordered(self, B: np.ndarray, order) -> np.ndarray:
+        """Multi-RHS :meth:`solve_ordered`; bit-identical to
+        :meth:`solve_multi` for topological orders."""
+        self._check_order(order)
+        B = self._check_B(B)
+        return self._execute(B, B.shape[1], order)[0]
 
 
 def compile_plan(plan: ExecutionPlan, device: DeviceModel, *,

@@ -24,7 +24,6 @@ from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport, SolveReport, merge_reports
 from repro.kernels.base import SpTRSVKernel, solve_dtype
 from repro.kernels.spmv import SpMVKernel
-from repro.obs import runtime as obs_runtime
 
 __all__ = ["TriSegment", "SpMVSegment", "ExecutionPlan"]
 
@@ -68,6 +67,27 @@ class SpMVSegment:
         return self.col_hi - self.col_lo
 
 
+def run_segment(seg, work, out, device: DeviceModel, multi: bool):
+    """Run one segment through its kernel's reporting path against the
+    shared work/out buffers; returns the segment's :class:`KernelReport`."""
+    if isinstance(seg, TriSegment):
+        if multi:
+            xs, rep = seg.kernel.solve_multi(
+                seg.aux, work[seg.lo : seg.hi], device
+            )
+        else:
+            xs, rep = seg.kernel.solve(seg.aux, work[seg.lo : seg.hi], device)
+        out[seg.lo : seg.hi] = xs
+        return rep
+    run = seg.kernel.run_multi if multi else seg.kernel.run
+    return run(
+        seg.matrix,
+        out[seg.col_lo : seg.col_hi],
+        work[seg.row_lo : seg.row_hi],
+        device,
+    )
+
+
 @dataclass
 class ExecutionPlan:
     """An ordered, preprocessed block-SpTRSV execution plan."""
@@ -80,162 +100,59 @@ class ExecutionPlan:
     preprocess_report: KernelReport | None = None
 
     # ------------------------------------------------------------------ #
-    # Execution
+    # Reference execution
     # ------------------------------------------------------------------ #
-    def _run_segment(self, seg, work, out, device: DeviceModel, multi: bool):
-        """Execute one segment against the shared work/out buffers."""
-        if isinstance(seg, TriSegment):
-            if multi:
-                xs, rep = seg.kernel.solve_multi(
-                    seg.aux, work[seg.lo : seg.hi], device
-                )
-            else:
-                xs, rep = seg.kernel.solve(seg.aux, work[seg.lo : seg.hi], device)
-            out[seg.lo : seg.hi] = xs
-            return rep
-        run = seg.kernel.run_multi if multi else seg.kernel.run
-        return run(
-            seg.matrix,
-            out[seg.col_lo : seg.col_hi],
-            work[seg.row_lo : seg.row_hi],
-            device,
-        )
-
-    def _execute_segments(
-        self, work, out, device: DeviceModel, multi: bool
-    ) -> tuple[list[KernelReport], list | None]:
-        """Run every segment in order; returns (reports, profile).
-
-        With no active :class:`repro.obs.Observability` this is the bare
-        execution loop (one thread-local lookup of overhead).  With one
-        active, every segment runs inside a span carrying its selected
-        kernel name, per-kernel launch counters are incremented, a
-        per-segment profile table is built, and the live Tables 1-2
-        traffic counters are accumulated segment by segment and
-        cross-checked against the plan-level accounting.
-        """
-        obs = obs_runtime.active()
-        reports: list[KernelReport] = []
-        if obs is None:
-            for seg in self.segments:
-                reports.append(self._run_segment(seg, work, out, device, multi))
-            return reports, None
-        metrics = obs.serve_metrics
-        span = obs.span
-        profile: list[dict] = []
-        live_b = 0
-        live_x = 0
-        launch_totals: dict[str, int] = {}
-        for idx, (seg, meta) in enumerate(
-            zip(self.segments, self._segment_meta())
-        ):
-            span_name, kind, rows, cols, nnz, kname, d_b, d_x = meta
-            with span(span_name, index=idx, kernel=kname) as sp:
-                rep = self._run_segment(seg, work, out, device, multi)
-                sp.set(rows=rows, nnz=nnz, sim_time_s=rep.time_s)
-            live_b += d_b
-            live_x += d_x
-            launch_totals[kname] = launch_totals.get(kname, 0) + rep.launches
-            profile.append({
-                "index": idx,
-                "kind": kind,
-                "kernel": kname,
-                "rows": rows,
-                "cols": cols,
-                "nnz": nnz,
-                "sim_time_s": rep.time_s,
-                "wall_time_s": sp.duration_s,
-                "launches": rep.launches,
-            })
-            reports.append(rep)
-        inc = metrics.kernel_launches.inc
-        for kname, n in launch_totals.items():
-            inc(n, kernel=kname, device="0")
-        obs_runtime.record_solve_traffic(obs, self, live_b, live_x)
-        return reports, profile
-
-    def _segment_meta(self) -> list[tuple]:
-        """Static per-segment instrumentation fields, computed once.
-
-        Everything here — span name, row/col range strings, nnz, kernel
-        name, and the per-segment live-traffic deltas — is a pure
-        function of the frozen segment layout, so warm solves must not
-        re-derive it per execution.
-        """
-        meta = getattr(self, "_seg_meta", None)
-        if meta is None or len(meta) != len(self.segments):
-            meta = []
-            for seg in self.segments:
-                if isinstance(seg, TriSegment):
-                    rows = f"{seg.lo}:{seg.hi}"
-                    meta.append((
-                        "segment.tri", "tri", rows, rows,
-                        seg.nnz, seg.kernel.name, seg.n_rows, 0,
-                    ))
-                else:
-                    meta.append((
-                        "segment.spmv", "spmv",
-                        f"{seg.row_lo}:{seg.row_hi}",
-                        f"{seg.col_lo}:{seg.col_hi}",
-                        seg.nnz, seg.kernel.name, seg.n_rows, seg.n_cols,
-                    ))
-            self._seg_meta = meta
-        return meta
-
     def solve(self, b: np.ndarray, device: DeviceModel) -> tuple[np.ndarray, SolveReport]:
-        """Run the plan; returns the solution in *original* row order."""
+        """The uninstrumented reference loop; returns the solution in
+        *original* row order.
+
+        Every segment runs in plan order through its kernel's reporting
+        path, on fresh buffers.  Solves the library serves run the
+        compiled steps of :class:`repro.core.executor.CompiledPlan`
+        instead (pooled, instrumented, any schedule order); this loop is
+        what that executor is tested and benchmarked against.
+        """
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        # Work buffers must be floating even for an integer b, or every
-        # triangular division below silently truncates.
-        dtype = solve_dtype(b)
-        work_b = (b[self.perm] if self.perm is not None else b).astype(
-            dtype, copy=True
-        )
-        x = np.zeros(self.n, dtype=dtype)
-        reports, profile = self._execute_segments(work_b, x, device, multi=False)
-        if self.perm is not None:
-            out = np.empty_like(x)
-            out[self.perm] = x
-        else:
-            out = x
-        report = merge_reports(
+        x, reports = self._run(b, device, multi=False)
+        return x, merge_reports(
             self.method,
             reports,
             n_tri=self.n_tri_segments,
             n_spmv=self.n_spmv_segments,
         )
-        if profile is not None:
-            report.profile = profile
-        return out, report
 
     def solve_multi(
         self, B: np.ndarray, device: DeviceModel
     ) -> tuple[np.ndarray, SolveReport]:
-        """Fused multi-RHS execution: every segment processes the whole
-        RHS block per invocation, amortizing matrix traffic and launches
-        (the multi-RHS scenario the paper's introduction motivates)."""
+        """Fused multi-RHS reference loop: every segment processes the
+        whole RHS block per invocation, amortizing matrix traffic and
+        launches (the multi-RHS scenario the paper's introduction
+        motivates)."""
         B = np.asarray(B)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
-        dtype = solve_dtype(B)
-        work_B = (B[self.perm] if self.perm is not None else B).astype(
-            dtype, copy=True
-        )
-        X = np.zeros_like(work_B)
-        reports, profile = self._execute_segments(work_B, X, device, multi=True)
-        if self.perm is not None:
-            out = np.empty_like(X)
-            out[self.perm] = X
-        else:
-            out = X
-        report = merge_reports(
+        X, reports = self._run(B, device, multi=True)
+        return X, merge_reports(
             self.method, reports, n_rhs=B.shape[1], fused=True
         )
-        if profile is not None:
-            report.profile = profile
-        return out, report
+
+    def _run(self, B: np.ndarray, device: DeviceModel, multi: bool):
+        # Work buffers must be floating even for an integer b, or every
+        # triangular division below silently truncates.
+        dtype = solve_dtype(B)
+        work = (B[self.perm] if self.perm is not None else B).astype(
+            dtype, copy=True
+        )
+        x = np.zeros_like(work)
+        reports = [run_segment(seg, work, x, device, multi)
+                   for seg in self.segments]
+        if self.perm is None:
+            return x, reports
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out, reports
 
     # ------------------------------------------------------------------ #
     # Structure queries

@@ -70,9 +70,8 @@ class PreparedSolve:
     device: DeviceModel
     preprocess_report: KernelReport
     blocked: RecursiveBlockedMatrix | None = None
-    #: lazily built CompiledPlan; False marks a failed compile so the
-    #: plan path is used without retrying on every solve
-    _compiled: object = field(default=None, repr=False, compare=False)
+    #: lazily built CompiledPlan
+    _compiled: CompiledPlan | None = field(default=None, repr=False, compare=False)
     _compile_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -86,64 +85,39 @@ class PreparedSolve:
         return self.preprocess_report.time_s
 
     def compile(self) -> CompiledPlan:
-        """The reusable zero-allocation executor for this plan.
+        """The executor every solve of this plan runs through.
 
-        Built lazily on the first (non-traced) solve and cached; the
-        serve layer calls this eagerly at cache-insert time so every
-        cache hit lands on the compiled hot path.  See
-        :mod:`repro.core.executor`.
+        Built lazily on the first solve and cached; the serve layer
+        calls this eagerly at cache-insert time so every cache hit lands
+        on the compiled hot path.  A plan that fails to compile raises
+        here, and so does every solve.  See :mod:`repro.core.executor`.
         """
         compiled = self._compiled
-        if isinstance(compiled, CompiledPlan):
+        if compiled is not None:
             return compiled
         with self._compile_lock:
-            if not isinstance(self._compiled, CompiledPlan):
+            if self._compiled is None:
                 self._compiled = compile_plan(self.plan, self.device)
             return self._compiled
 
-    def _compile_quiet(self) -> CompiledPlan | None:
-        """compile(), degrading to the plan path on any failure."""
-        if self._compiled is False:
-            return None
-        try:
-            return self.compile()
-        except Exception:
-            self._compiled = False
-            return None
-
-    def _compile_shared(self, template: CompiledPlan | None) -> CompiledPlan | None:
+    def _compile_shared(self, template: CompiledPlan) -> CompiledPlan:
         """Compile sharing structural state with a pattern template.
 
         Used by the serve layer's structural batching: a values overlay
         compiles against the pattern's :class:`CompiledPlan` so the
         arena pool, frozen reports, and engine decisions are inherited
-        instead of re-probed.  Falls back to a plain quiet compile when
-        no template exists; returns ``None`` (plan path) on any failure.
+        instead of re-probed.
         """
-        if template is None:
-            return self._compile_quiet()
-        if self._compiled is False:
-            return None
         with self._compile_lock:
-            if not isinstance(self._compiled, CompiledPlan):
-                try:
-                    self._compiled = CompiledPlan(
-                        self.plan, self.device, share_from=template
-                    )
-                except Exception:
-                    self._compiled = False
-                    return None
+            if self._compiled is None:
+                self._compiled = CompiledPlan(
+                    self.plan, self.device, share_from=template
+                )
             return self._compiled
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """One SpTRSV: exact solution + simulated timing report."""
-        # Traced solves stay on the compiled path: CompiledPlan emits
-        # the same spans/profile/traffic counters as the plan loop while
-        # keeping the compiled numerics (see executor._run_steps_observed).
-        compiled = self._compile_quiet()
-        if compiled is None:
-            return self.plan.solve(b, self.device)
-        return compiled.solve(b)
+        return self.compile().solve(b)
 
     def solve_multi(
         self, B: np.ndarray, *, fused: bool = True
@@ -161,10 +135,7 @@ class PreparedSolve:
             x, rep = self.solve(B)
             return x, rep
         if fused:
-            compiled = self._compile_quiet()
-            if compiled is None:
-                return self.plan.solve_multi(B, self.device)
-            return compiled.solve_multi(B)
+            return self.compile().solve_multi(B)
         cols = []
         report = None
         for j in range(B.shape[1]):

@@ -2,25 +2,20 @@
 
 Numerics and timing are deliberately decoupled:
 
-* **Numerics** run the schedule's topological segment order through the
-  single-device executor — :meth:`CompiledPlan.solve_ordered` when the
-  plan compiled pure (the hot path), otherwise the plan's own segments
-  in schedule order.  Either way each floating-point operation sees the
-  same operands in the same per-interval order as the single-device
-  compiled path, so the solution is *bit-identical* for every device
-  count.
+* **Numerics** run the compiled steps of the single-device executor in
+  the schedule's topological segment order (:class:`CompiledPlan`'s one
+  step loop).  Each floating-point operation sees the same operands in
+  the same per-interval order as the single-device solve, so the
+  solution is *bit-identical* for every device count.
 * **Timing** comes from the schedule's simulated per-device queues and
   communication events; per-RHS-width timelines are scheduled once and
-  cached.
+  cached, priced from the compiled plan's frozen per-segment reports.
 
-With an active :class:`repro.obs.Observability` the executor keeps the
-compiled numerics and instruments the ordered step loop via the
-``step_cb`` hook of :meth:`CompiledPlan.solve_ordered`: per-segment
-spans carry the executing device, the live traffic counters are
-accumulated *per device* (the device-tagged families of PR 5), and the
-schedule's occupancy / critical path / transfer volume are exported as
-gauges.  Only plans that did not compile pure fall back to the
-instrumented plan path.
+With an active :class:`repro.obs.Observability` the same loop emits the
+single-device telemetry tagged with each segment's scheduled device:
+per-segment spans and profile rows, device-tagged kernel launch and live
+traffic counters, and the schedule's occupancy / critical path /
+transfer volume as gauges.
 """
 
 from __future__ import annotations
@@ -40,13 +35,8 @@ from repro.dist.schedule import (
     get_scheduler,
     schedule_dag,
 )
-from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import SolveReport, merge_reports
-from repro.kernels.base import solve_dtype
-from repro.obs import runtime as obs_runtime
-from repro.obs.clock import monotonic
-from repro.obs.trace import Span
 
 __all__ = ["DistributedPlan"]
 
@@ -97,16 +87,20 @@ class DistributedPlan:
             and len(template.plan.segments) == len(self.plan.segments)
         ):
             template = None
-        self.compiled = self._compile_tiled(plan, compiled, template)
+        self.compiled = self._compile_tiled(
+            plan, compiled or compile_plan(plan, device), template
+        )
+        #: RHS width -> schedule
+        self._multi: dict[int, DistSchedule] = {}
+        self._multi_lock = threading.Lock()
         if template is not None:
-            # the DAG, probe reports, and schedule read only segment
-            # structure and simulated per-segment costs — both are pinned
-            # by the pattern key, so values-only overlays share them.
-            # Schedules are policy products: shared only when the
+            # the DAG and the compiled plan's frozen reports read only
+            # segment structure and simulated per-segment costs — both
+            # pinned by the pattern key, so values-only overlays share
+            # them.  Schedules are policy products: shared only when the
             # template was scheduled under the same scheduler and sync
-            # mode, else recomputed from the shared probe costs.
+            # mode, else recomputed from the shared frozen costs.
             self.dag = template.dag
-            self._reports = template._reports
             if (
                 getattr(template, "scheduler", "eft") == scheduler
                 and getattr(template, "sync", "p2p") == sync
@@ -115,20 +109,9 @@ class DistributedPlan:
                 self._multi = template._multi
                 self._multi_lock = template._multi_lock
             else:
-                self.schedule = schedule_dag(
-                    self.dag,
-                    [r.time_s for r in self._reports],
-                    self.n_devices,
-                    self.interconnect,
-                    method=plan.method,
-                    scheduler=scheduler,
-                    sync=sync,
-                )
-                self._multi = {}
-                self._multi_lock = threading.Lock()
+                self.schedule = self._schedule(self._reports)
         else:
             self.dag = build_segment_dag(self.plan)
-            self._reports = self._probe_reports(k=0)
             # A persisted schedule (repro.serve.store) is injected only
             # when it provably describes this very DAG shape; anything
             # else silently falls back to recomputing — a wrong schedule
@@ -136,24 +119,13 @@ class DistributedPlan:
             if schedule is not None and (
                 schedule.n_devices == self.n_devices
                 and schedule.method == self.plan.method
-                and len(schedule.order) == len(self.plan.segments)
+                and sorted(schedule.order) == list(self.compiled._order)
                 and getattr(schedule, "scheduler", "eft") == scheduler
                 and getattr(schedule, "sync", "p2p") == sync
             ):
                 self.schedule = schedule
             else:
-                self.schedule = schedule_dag(
-                    self.dag,
-                    [r.time_s for r in self._reports],
-                    self.n_devices,
-                    self.interconnect,
-                    method=plan.method,
-                    scheduler=scheduler,
-                    sync=sync,
-                )
-            #: RHS width -> (schedule, per-segment reports); width 0 = 1-D
-            self._multi: dict[int, tuple[DistSchedule, list]] = {}
-            self._multi_lock = threading.Lock()
+                self.schedule = self._schedule(self._reports)
 
     @classmethod
     def from_prepared(
@@ -168,11 +140,11 @@ class DistributedPlan:
         sync: str = "p2p",
     ) -> "DistributedPlan":
         """Build from a :class:`repro.PreparedSolve`, reusing (or
-        quietly building) its compiled executor for the numerics.
+        building) its compiled executor for the numerics.
 
         With ``template`` (a DistributedPlan over the same segment
         structure — the serve layer's pattern-level instance) the DAG,
-        probe reports, and schedules are shared instead of recomputed,
+        frozen reports, and schedules are shared instead of recomputed,
         so a values-only overlay pays gather cost rather than a full
         schedule rebuild.  ``schedule`` injects a persisted
         :class:`DistSchedule` (the plan store's warm-start path); it is
@@ -181,14 +153,12 @@ class DistributedPlan:
         ``scheduler`` names a registered placement policy and ``sync``
         the dependency-resolution mode (see :mod:`repro.dist.schedule`).
         """
-        compile_quiet = getattr(prepared, "_compile_quiet", None)
-        compiled = compile_quiet() if callable(compile_quiet) else None
         return cls(
             prepared.plan,
             prepared.device,
             n_devices,
             interconnect=interconnect,
-            compiled=compiled,
+            compiled=prepared.compile(),
             template=template,
             schedule=schedule,
             scheduler=scheduler,
@@ -198,9 +168,9 @@ class DistributedPlan:
     def _compile_tiled(
         self,
         source: ExecutionPlan,
-        base: CompiledPlan | None,
+        base: CompiledPlan,
         template: "DistributedPlan | None" = None,
-    ) -> CompiledPlan | None:
+    ) -> CompiledPlan:
         """Compile the tiled plan, *sharing* the source's compiled
         triangular steps.
 
@@ -212,25 +182,16 @@ class DistributedPlan:
         shares its TriSegment instances) makes the sharded numerics run
         literally the same triangular code paths as the single-device
         compiled plan; the SpMV row slices are bitwise equal by
-        row-locality.  Without a pure base compilation the executor
-        falls back to the (equally deterministic) plan path.
+        row-locality.
         """
-        if base is None or not base.pure:
-            return None
         if self.plan is source:  # nothing was split
             return base
-        try:
-            tmpl_compiled = template.compiled if template is not None else None
-            if tmpl_compiled is not None and tmpl_compiled.pure:
-                tiled_compiled = CompiledPlan(
-                    self.plan, self.device, share_from=tmpl_compiled
-                )
-            else:
-                tiled_compiled = compile_plan(self.plan, self.device)
-        except Exception:
-            return None
-        if not tiled_compiled.pure:
-            return None
+        if template is not None:
+            tiled = CompiledPlan(
+                self.plan, self.device, share_from=template.compiled
+            )
+        else:
+            tiled = compile_plan(self.plan, self.device)
         tri_steps = {
             id(seg): step
             for seg, step in zip(source.segments, base._steps)
@@ -239,36 +200,18 @@ class DistributedPlan:
         for i, seg in enumerate(self.plan.segments):
             step = tri_steps.get(id(seg))
             if step is not None:
-                tiled_compiled._steps[i] = step
-        return tiled_compiled
+                tiled._steps[i] = step
+        return tiled
 
     # -- simulated per-segment costs ----------------------------------- #
-    def _probe_reports(self, k: int) -> list:
-        """One probe execution at RHS width ``k`` (0 = single vector),
-        capturing the simulated per-segment reports the scheduler
-        prices.  Deterministic probe data, simulated times only."""
-        n = self.plan.n
-        if k == 0:
-            work = np.linspace(0.5, 1.5, n)
-            out = np.zeros(n)
-        else:
-            work = np.linspace(0.5, 1.5, n * k).reshape(n, k)
-            out = np.zeros((n, k))
-        return [
-            self.plan._run_segment(seg, work, out, self.device, k > 0)
-            for seg in self.plan.segments
-        ]
+    @property
+    def _reports(self) -> list:
+        """The single-vector per-segment reports the scheduler prices:
+        the compiled plan's frozen capture."""
+        return self.compiled._captures[0][0]
 
-    def _schedule_for(self, k: int) -> tuple[DistSchedule, list]:
-        """The (cached) schedule and segment reports for RHS width ``k``."""
-        if k == 0:
-            return self.schedule, self._reports
-        with self._multi_lock:
-            cached = self._multi.get(k)
-        if cached is not None:
-            return cached
-        reports = self._probe_reports(k)
-        sched = schedule_dag(
+    def _schedule(self, reports: list) -> DistSchedule:
+        return schedule_dag(
             self.dag,
             [r.time_s for r in reports],
             self.n_devices,
@@ -277,11 +220,23 @@ class DistributedPlan:
             scheduler=self.scheduler,
             sync=self.sync,
         )
-        with self._multi_lock:
-            return self._multi.setdefault(k, (sched, reports))
+
+    def _schedule_for(self, k: int) -> DistSchedule:
+        """The (cached) schedule for RHS width ``k`` (0 = one vector),
+        priced from the compiled plan's frozen reports at that width."""
+        if k == 0:
+            return self.schedule
+        sched = self._multi.get(k)
+        if sched is None:
+            sched = self._schedule(self.compiled._captured(k)[0])
+            with self._multi_lock:
+                sched = self._multi.setdefault(k, sched)
+        return sched
 
     # -- reporting ------------------------------------------------------ #
-    def _report(self, sched: DistSchedule, reports: list, **detail) -> SolveReport:
+    def _report(
+        self, sched: DistSchedule, reports: list, profile, **detail
+    ) -> SolveReport:
         merged = merge_reports(
             self.plan.method,
             reports,
@@ -289,7 +244,7 @@ class DistributedPlan:
             n_spmv=self.plan.n_spmv_segments,
         )
         occ = sched.occupancy()
-        return SolveReport(
+        report = SolveReport(
             method=self.plan.method,
             time_s=sched.makespan_s,
             flops=merged.flops,
@@ -314,142 +269,23 @@ class DistributedPlan:
                 **detail,
             },
         )
+        if profile is not None:
+            report.profile = profile
+        return report
 
     # -- execution ------------------------------------------------------ #
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """One sharded SpTRSV; drop-in for ``plan.solve(b, device)``
         with the schedule makespan as the simulated time."""
-        b = np.asarray(b)
-        if b.shape != (self.plan.n,):
-            raise ShapeMismatchError(f"b must have shape ({self.plan.n},)")
-        sched, reports = self._schedule_for(0)
-        obs = obs_runtime.active()
-        if self.compiled is not None and self.compiled.pure:
-            if obs is None:
-                x = self.compiled.solve_ordered(b, sched.order)
-            else:
-                x = self._solve_compiled_observed(
-                    b, sched, reports, obs, multi=False
-                )
-        else:
-            x = self._solve_plan_path(b, sched, obs, multi=False)
-        return x, self._report(sched, reports)
+        b = self.compiled._check_b(b)
+        sched = self._schedule_for(0)
+        x, reports, profile = self.compiled._execute(b, 0, sched.order, sched)
+        return x, self._report(sched, reports, profile)
 
     def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Fused multi-RHS sharded solve."""
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.plan.n:
-            raise ShapeMismatchError(f"B must have shape ({self.plan.n}, k)")
+        B = self.compiled._check_B(B)
         k = B.shape[1]
-        sched, reports = self._schedule_for(k)
-        obs = obs_runtime.active()
-        if self.compiled is not None and self.compiled.pure:
-            if obs is None:
-                X = self.compiled.solve_multi_ordered(B, sched.order)
-            else:
-                X = self._solve_compiled_observed(
-                    B, sched, reports, obs, multi=True
-                )
-        else:
-            X = self._solve_plan_path(B, sched, obs, multi=True)
-        return X, self._report(sched, reports, n_rhs=k, fused=True)
-
-    def _solve_compiled_observed(
-        self, b, sched: DistSchedule, reports: list, obs, *, multi: bool
-    ):
-        """Schedule-ordered compiled execution under an active bundle.
-
-        Same floating-point operations as the obs-off ordered path —
-        the solution stays bit-identical to the single-device compiled
-        solve — with the per-segment telemetry of the plan path: leaf
-        spans tagged with the executing device, device-tagged kernel
-        launch and live traffic counters, and the schedule gauges.
-        The simulated per-segment reports come from the schedule's
-        (frozen) probe reports rather than a live reporting pass."""
-        plan = self.plan
-        segments = plan.segments
-        assignment = sched.assignment
-        tracer = obs.tracer
-        tid, pid, thread = tracer.leaf_context()
-        next_id = tracer.next_span_id
-        leaves: list[Span] = []
-        launch_totals: dict[tuple, int] = {}
-        live_b = [0] * sched.n_devices
-        live_x = [0] * sched.n_devices
-
-        def step_cb(idx: int, t0: float, t1: float) -> None:
-            seg = segments[idx]
-            dev = assignment[idx]
-            tri = isinstance(seg, TriSegment)
-            rep = reports[idx]
-            leaves.append(Span(
-                "segment.tri" if tri else "segment.spmv",
-                tid, next_id(), pid, t0, t1, thread,
-                {"index": idx, "kernel": seg.kernel.name, "device": dev,
-                 "nnz": seg.nnz, "sim_time_s": rep.time_s,
-                 "wall_time_s": t1 - t0},
-            ))
-            key = (seg.kernel.name, dev)
-            launch_totals[key] = launch_totals.get(key, 0) + rep.launches
-            live_b[dev] += seg.n_rows
-            if not tri:
-                live_x[dev] += seg.n_cols
-
-        if multi:
-            x = self.compiled.solve_multi_ordered(b, sched.order, step_cb)
-        else:
-            x = self.compiled.solve_ordered(b, sched.order, step_cb)
-        tracer.record_leaves(leaves)
-        inc = obs.serve_metrics.kernel_launches.inc
-        for (kname, dev), n in launch_totals.items():
-            inc(n, kernel=kname, device=str(dev))
-        obs_runtime.record_dist_solve(obs, plan, sched, live_b, live_x)
-        return x
-
-    def _solve_plan_path(self, b, sched: DistSchedule, obs, *, multi: bool):
-        """Schedule-ordered execution through the plan's own segments —
-        the instrumented (and compile-less) path.  Disjoint slices
-        commute and conflicting ones stay in plan-relative order, so
-        this too is bit-identical to in-order execution."""
-        plan = self.plan
-        dtype = solve_dtype(b)
-        work = (b[plan.perm] if plan.perm is not None else b).astype(
-            dtype, copy=True
-        )
-        x = np.zeros_like(work)
-        if obs is None:
-            for idx in sched.order:
-                plan._run_segment(plan.segments[idx], work, x, self.device, multi)
-        else:
-            metrics = obs.serve_metrics
-            live_b = [0] * sched.n_devices
-            live_x = [0] * sched.n_devices
-            for idx in sched.order:
-                seg = plan.segments[idx]
-                dev = sched.assignment[idx]
-                tri = isinstance(seg, TriSegment)
-                t0 = monotonic()
-                with obs.span(
-                    "segment.tri" if tri else "segment.spmv",
-                    index=idx,
-                    kernel=seg.kernel.name,
-                    device=dev,
-                ) as sp:
-                    rep = plan._run_segment(seg, work, x, self.device, multi)
-                    live_b[dev] += seg.n_rows
-                    if not tri:
-                        live_x[dev] += seg.n_cols
-                    sp.set(
-                        nnz=seg.nnz,
-                        sim_time_s=rep.time_s,
-                        wall_time_s=monotonic() - t0,
-                    )
-                metrics.kernel_launches.inc(
-                    rep.launches, kernel=seg.kernel.name, device=str(dev)
-                )
-            obs_runtime.record_dist_solve(obs, plan, sched, live_b, live_x)
-        if plan.perm is not None:
-            out = np.empty_like(x)
-            out[plan.perm] = x
-            return out
-        return x
+        sched = self._schedule_for(k)
+        X, reports, profile = self.compiled._execute(B, k, sched.order, sched)
+        return X, self._report(sched, reports, profile, n_rhs=k, fused=True)

@@ -406,28 +406,13 @@ class Observability:
         return metrics_to_dict(self.metrics)
 
 
-def record_solve_traffic(
-    obs: Observability, plan, live_b: int, live_x: int, device: str = "0"
-) -> None:
-    """Publish one plan execution's live traffic and cross-check it.
+def _plan_traffic(plan) -> tuple:
+    """``((measured_b, measured_x), predicted)`` for ``plan``, cached on it.
 
-    ``live_b`` / ``live_x`` are accumulated segment by segment during
-    execution; they must equal the plan-level Tables 1-2 accounting of
-    :func:`repro.analysis.traffic.measured_traffic` — any disagreement
-    means the execution loop and the model have drifted apart.
-    ``device`` tags the executing queue; single-device solves keep the
-    stable label ``"0"``.
+    Both accountings are pure functions of the plan layout, which is
+    frozen after build — compute them once per (cached, reused) plan
+    instead of re-walking every segment on every warm solve.
     """
-    m = obs.serve_metrics
-    method = plan.method
-    m.solves_total.inc(method=method)
-    m.b_writes.inc(live_b, method=method, device=device)
-    m.x_loads.inc(live_x, method=method, device=device)
-    # Both accountings are pure functions of the plan layout, which is
-    # frozen after build — compute them once per (cached, reused) plan
-    # instead of re-walking every segment on every warm solve.  The live
-    # counters accumulated by the execution loop still cross-check
-    # against them each solve.
     cached = getattr(plan, "_traffic_cache", None)
     if cached is None:
         from repro.analysis.traffic import measured_traffic, predicted_traffic
@@ -437,11 +422,40 @@ def record_solve_traffic(
             plan._traffic_cache = cached
         except AttributeError:
             pass  # slots/frozen plan stand-ins: recompute per solve
-    (measured_b, measured_x), predicted = cached
+    return cached
+
+
+def _publish_traffic(m, plan, live_b, live_x) -> None:
+    """Add one execution's live per-device traffic to the counters and
+    cross-check the totals against the plan-level accounting.
+
+    ``live_b`` / ``live_x`` are indexed by device and accumulated
+    segment by segment by the execution loop; their sums must equal
+    :func:`repro.analysis.traffic.measured_traffic` — any disagreement
+    means the loop and the model have drifted apart.
+    """
+    method = plan.method
+    m.solves_total.inc(method=method)
+    for dev, (b, x) in enumerate(zip(live_b, live_x)):
+        m.b_writes.inc(b, method=method, device=str(dev))
+        m.x_loads.inc(x, method=method, device=str(dev))
+    measured_b, measured_x = _plan_traffic(plan)[0]
     m.traffic_measured.set(measured_b, method=method, table="b_writes")
     m.traffic_measured.set(measured_x, method=method, table="x_loads")
-    if (live_b, live_x) != (measured_b, measured_x):
+    if (sum(live_b), sum(live_x)) != (measured_b, measured_x):
         m.traffic_mismatch.inc(method=method)
+
+
+def record_solve_traffic(
+    obs: Observability, plan, live_b: int, live_x: int
+) -> None:
+    """Publish one single-device plan execution's live traffic (device
+    ``"0"``), cross-checked against the plan-level Tables 1-2 accounting
+    and exported next to the closed-form prediction."""
+    m = obs.serve_metrics
+    method = plan.method
+    _publish_traffic(m, plan, (live_b,), (live_x,))
+    predicted = _plan_traffic(plan)[1]
     if predicted is not None:
         m.traffic_predicted.set(predicted[0], method=method, table="b_writes")
         m.traffic_predicted.set(predicted[1], method=method, table="x_loads")
@@ -452,18 +466,15 @@ def record_dist_solve(
 ) -> None:
     """Publish one *sharded* plan execution (see :mod:`repro.dist`).
 
-    The live traffic counters are incremented per executing device, the
-    summed totals are cross-checked against the plan-level model exactly
-    like the single-device path, and the schedule's occupancy, critical
-    path, and transfer volume are exported.
+    The live traffic counters are incremented per executing device and
+    the summed totals cross-checked exactly like the single-device path;
+    the schedule's occupancy, critical path, and transfer volume are
+    exported.
     """
-    from repro.analysis.traffic import measured_traffic
-
     m = obs.serve_metrics
     method = plan.method
     scheduler = getattr(schedule, "scheduler", "eft")
     sync = getattr(schedule, "sync", "p2p")
-    m.solves_total.inc(method=method)
     m.dist_solves.inc(
         method=method,
         n_devices=str(schedule.n_devices),
@@ -474,18 +485,7 @@ def record_dist_solve(
         schedule.n_devices * schedule.makespan_s - sum(schedule.device_busy_s),
         sync=sync,
     )
-    for dev, (live_b, live_x) in enumerate(
-        zip(live_b_per_device, live_x_per_device)
-    ):
-        m.b_writes.inc(live_b, method=method, device=str(dev))
-        m.x_loads.inc(live_x, method=method, device=str(dev))
-    measured_b, measured_x = measured_traffic(plan)
-    m.traffic_measured.set(measured_b, method=method, table="b_writes")
-    m.traffic_measured.set(measured_x, method=method, table="x_loads")
-    if (sum(live_b_per_device), sum(live_x_per_device)) != (
-        measured_b, measured_x,
-    ):
-        m.traffic_mismatch.inc(method=method)
+    _publish_traffic(m, plan, live_b_per_device, live_x_per_device)
     # No predicted-traffic gauge here: the closed forms of Tables 1-2
     # describe the aggregated §3.1 layouts, not the tiled sharded one.
     for dev, occ in enumerate(schedule.occupancy()):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.api import SolveResult, validate_solver_options
-from repro.core.executor import CompiledPlan, compile_plan
+from repro.core.executor import compile_plan
 from repro.core.rebind import PlanRebinder, RebindError, tracer_matrix
 from repro.core.solver import SOLVERS, PreparedSolve
 from repro.errors import (
@@ -322,10 +322,9 @@ class _PatternEntry:
         The overlay may still be solving on another worker; only
         verdicts whose probe already finished are captured.
         """
-        compiled = entry.prepared._compiled if self.rebindable else None
-        if not isinstance(compiled, CompiledPlan):
+        if not self.rebindable:
             return
-        verdicts = compiled.engine_verdicts()
+        verdicts = entry.prepared._compiled.engine_verdicts()
         if not any(verdicts):
             return
         with self._lock:
@@ -784,7 +783,7 @@ class SolveService:
             # Compile at cache-insert time: every later hit (and every
             # coalesced batch) lands on the zero-allocation executor.
             if isinstance(prepared, PreparedSolve):
-                prepared._compile_quiet()
+                prepared.compile()
             return _PlanEntry(
                 prepared=prepared, method=method, fallback=False,
                 perm=perm, dist=self._attach_dist(prepared),
@@ -803,7 +802,7 @@ class SolveService:
                     context=f"service:{self.config.fallback_method} (fallback)",
                 )
             if isinstance(prepared, PreparedSolve):
-                prepared._compile_quiet()
+                prepared.compile()
             return _PlanEntry(
                 prepared=prepared,
                 method=self.config.fallback_method,
@@ -856,7 +855,7 @@ class SolveService:
                     rebindable=True,
                     binder=binder,
                     template=prepared_t,
-                    template_compiled=prepared_t._compile_quiet(),
+                    template_compiled=prepared_t.compile(),
                     template_dist=entry_t.dist,
                     build_prep_s=entry_t.prep_time_s,
                     rebind_prep_s=self._rebind_cost(A),
@@ -978,22 +977,11 @@ class SolveService:
         # Captured reports ride along in the payload: injecting them
         # skips the compile-time probe solve, the same way values
         # overlays inherit them from the pattern template in-process.
-        template_compiled = None
         frozen = payload.get("frozen_reports")
-        if frozen is not None:
-            try:
-                template_compiled = compile_plan(
-                    plan, cfg.device, frozen=tuple(frozen)
-                )
-                prepared_t._compiled = template_compiled
-            except Exception:  # noqa: BLE001 - fall back to a fresh probe
-                template_compiled = None
-        if template_compiled is None:
-            template_compiled = prepared_t._compile_quiet()
-        if template_compiled is not None:
-            template_compiled.adopt_engine_verdicts(
-                payload["engine_decisions"]
-            )
+        template_compiled = prepared_t._compiled = compile_plan(
+            plan, cfg.device, frozen=None if frozen is None else tuple(frozen)
+        )
+        template_compiled.adopt_engine_verdicts(payload["engine_decisions"])
         template_dist = None
         if cfg.n_devices > 1:
             sched = payload.get("dist_schedule")
@@ -1066,10 +1054,7 @@ class SolveService:
         # break loaded-vs-built bit identity.
         dt = pattern.binder.dtype
         first = pattern.overlays[job.vfp].prepared._compiled
-        values_verdicts = (
-            {job.vfp: first.engine_verdicts(resolve=dt)}
-            if isinstance(first, CompiledPlan) else {}
-        )
+        values_verdicts = {job.vfp: first.engine_verdicts(resolve=dt)}
         template = pattern.template_compiled
         payload = {
             "kind": "pattern",
@@ -1084,16 +1069,9 @@ class SolveService:
             "dtype": str(pattern.binder.dtype),
             "build_prep_s": pattern.build_prep_s,
             "rebind_prep_s": pattern.rebind_prep_s,
-            "engine_decisions": (
-                template.engine_verdicts(resolve=dt)
-                if template is not None else ()
-            ),
+            "engine_decisions": template.engine_verdicts(resolve=dt),
             "values_verdicts": values_verdicts,
-            "frozen_reports": (
-                (template._frozen, template._merged)
-                if template is not None and template.pure
-                else None
-            ),
+            "frozen_reports": template._captures[0],
             "dist_n_devices": cfg.n_devices,
             "dist_schedule": (
                 pattern.template_dist.schedule
@@ -1143,7 +1121,7 @@ class SolveService:
         )
         compiled = prepared._compile_shared(pattern.template_compiled)
         verdicts = pattern._verdicts_for(vfp)
-        if verdicts is not None and compiled is not None:
+        if verdicts is not None:
             compiled.adopt_engine_verdicts(verdicts)
         if cfg.check:
             L = (

@@ -401,12 +401,9 @@ def _compiled_solve(
     zero-allocation executor; ``None`` if the method's prepared form does
     not expose a plan to compile.
 
-    The case is solved three times: the first multi-RHS call at a new
-    width runs the capture path (plan numerics), so the repeat check
-    compares the second and third calls — both on the frozen compiled
-    steps and pooled arena.  A state leak (stale work/out buffers
-    bleeding between solves) shows up as those two disagreeing bit for
-    bit.
+    The case is solved twice: the second call reuses the first one's
+    pooled arena, so a state leak (stale work/out buffers bleeding
+    between solves) shows up as the two disagreeing bit for bit.
     """
     solver = SOLVERS[method](device=device)
     if is_lower_triangular(A):
@@ -420,9 +417,8 @@ def _compiled_solve(
     b = np.asarray(b)
     w = b if perm is None else b[perm]
     run = compiled.solve if b.ndim == 1 else compiled.solve_multi
-    run(w)  # may take the capture path (first call at this width)
     x, _ = run(w)
-    x2, _ = run(w)  # both frozen-path solves reuse the pooled arena
+    x2, _ = run(w)  # reuses the first solve's pooled arena
     if not np.array_equal(x, x2):
         raise AssertionError(
             "compiled executor is not deterministic across arena reuse: "
@@ -473,10 +469,6 @@ def _dist_solve(
         x, _ = dp.solve(w)
         x1, _ = prepared.solve(w)
     else:
-        # The first compiled multi-RHS solve at a new width takes the
-        # capture path (plan kernels); the sharded executor always runs
-        # the frozen steps.  Warm up so both samples are frozen-path.
-        prepared.solve_multi(w)
         x, _ = dp.solve_multi(w)
         x1, _ = prepared.solve_multi(w)
     if perm is not None:
@@ -499,9 +491,7 @@ def _fused_solve(
 
     Two contracts: each fused result matches the serial oracle for its
     variant within tolerance, and it is *bit-identical* to the same
-    service's per-request solve of that variant (warmed first, so both
-    samples run the frozen compiled steps — same rule as
-    :func:`_dist_solve`).
+    service's per-request solve of that variant.
     """
     from repro.serve.service import SolveRequest, SolveService
 
@@ -516,7 +506,7 @@ def _fused_solve(
     with SolveService(
         device=device, method=method, cache_capacity=4, max_workers=2
     ) as svc:
-        for V in variants:  # warm: capture-path multi-RHS + overlay builds
+        for V in variants:  # warm: one overlay build per variant
             svc.solve(V, b)
         batch = svc.solve_batch([SolveRequest(A=V, b=b) for V in variants])
         for i, (V, res) in enumerate(zip(variants, batch)):

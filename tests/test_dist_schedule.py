@@ -451,7 +451,6 @@ class TestDistributedPlan:
     def test_multi_rhs_bit_identical(self):
         L, prepared = _prepare(nseg=8)
         B = np.random.default_rng(2).standard_normal((L.n_rows, 5))
-        prepared.solve_multi(B)  # capture pass at this width
         X1, _ = prepared.solve_multi(B)
         dp = DistributedPlan.from_prepared(prepared, 3)
         X, report = dp.solve_multi(B)
@@ -493,17 +492,36 @@ class TestDistributedPlan:
     def test_observed_path_matches_and_exports_metrics(self):
         L, prepared = _prepare(nseg=8)
         b = np.random.default_rng(3).standard_normal(L.n_rows)
-        # With observability active every executor takes the
-        # instrumented plan path, so that is the bit-identity reference.
+        # Observed or not, every executor runs the same compiled steps,
+        # so the traced single-device solve is the bit-identity reference.
         with Observability().activate():
             x1, _ = prepared.solve(b)
         dp = DistributedPlan.from_prepared(prepared, 3)
         obs = Observability()
         with obs.activate():
-            x, _ = dp.solve(b)
+            x, report = dp.solve(b)
         assert np.array_equal(x, x1)
         m = obs.serve_metrics
         method = prepared.plan.method
+        # One segment.* leaf per tiled segment, tagged with the device
+        # the schedule placed it on, and one profile row per segment.
+        leaves = [s for s in obs.tracer.spans()
+                  if s.name.startswith("segment.")]
+        assert sorted(s.attrs["index"] for s in leaves) == \
+            list(range(len(dp.plan.segments)))
+        for s in leaves:
+            assert s.attrs["device"] == dp.schedule.assignment[s.attrs["index"]]
+        assert [row["index"] for row in report.profile] == dp.schedule.order
+        # Per-(kernel, device) launch counters follow the placement and
+        # sum to the report's launches.
+        expected: dict = {}
+        for idx, seg in enumerate(dp.plan.segments):
+            key = (seg.kernel.name, str(dp.schedule.assignment[idx]))
+            expected[key] = expected.get(key, 0) + dp._reports[idx].launches
+        got = {(labels["kernel"], labels["device"]): n
+               for labels, n in m.kernel_launches.samples()}
+        assert got == expected
+        assert sum(got.values()) == report.launches
         assert m.dist_solves.value(
             method=method, n_devices="3", scheduler="eft"
         ) == 1
@@ -604,6 +622,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "schedule invariants OK" in out
         assert "bit-identical to single-device: True" in out
+        assert "fused 3-RHS bit-identical: True" in out
 
     def test_dist_scaling_experiment_registered(self, capsys):
         assert main(["experiment", "dist_scaling", "--scale", "0.05"]) == 0

@@ -7,17 +7,23 @@ by the serve thread pool, so buffer reuse across concurrent requests
 must never leak one request's data into another's answer.
 """
 
+import dataclasses
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import Observability
+from repro import Observability, register_solver, unregister_solver
+from repro.core import executor
 from repro.core.executor import _POOL_KEEP, CompiledPlan, compile_plan
-from repro.core.solver import SOLVERS, PreparedSolve
+from repro.core.solver import SOLVERS, LevelSetSolver, PreparedSolve
+from repro.dist import DistributedPlan
 from repro.gpu.device import TITAN_RTX_SCALED
+from repro.kernels.sptrsv_levelset import LevelSetKernel
 from repro.kernels.sptrsv_serial import solve_serial
+from repro.serve import SolveService
 
 from conftest import random_lower
 
@@ -57,7 +63,7 @@ def test_matches_plan_path_multi_rhs(method):
     for k in (1, 3, 7):
         B = rng.standard_normal((L.n_rows, k))
         X_ref, rep_ref = prepared.plan.solve_multi(B, DEVICE)
-        for _ in range(2):  # first call captures, second runs frozen
+        for _ in range(2):  # the second call reuses the pooled arena
             X, rep = compiled.solve_multi(B)
             np.testing.assert_allclose(X, X_ref, rtol=1e-9, atol=1e-12)
             assert X.shape == (L.n_rows, k)
@@ -137,6 +143,17 @@ class TestShapeChecks:
             compiled.solve_multi(np.ones((49, 2)))
 
 
+class _RhsPricedLevelSet(LevelSetKernel):
+    """A third-party kernel that never opted into ``pure_report``: its
+    simulated time depends on the right-hand side it is handed."""
+
+    pure_report = False
+
+    def solve(self, aux, b, device):
+        x, rep = super().solve(aux, b, device)
+        return x, dataclasses.replace(rep, time_s=1e-6 * (1 + abs(float(b[0]))))
+
+
 def test_non_pure_plan_delegates():
     L, prepared = _prepared("levelset")
     plan = prepared.plan
@@ -156,6 +173,96 @@ def test_non_pure_plan_delegates():
         np.testing.assert_allclose(X, X_ref, rtol=1e-12)
     finally:
         type(kernel).pure_report = True
+    # A kernel whose report depends on b runs as a live step: each
+    # solve's own report replaces the frozen capture everywhere it
+    # surfaces, and the sharded executor runs the same steps.
+    L = random_lower(200, 0.08, seed=3)
+    plan = SOLVERS["column-block"](
+        device=DEVICE, nseg=4, fixed_tri="levelset"
+    ).prepare(L).plan
+    seg = plan.segments[0]
+    assert seg.lo == 0 and plan.perm is None  # its input is b[:hi]
+    seg.kernel = _RhsPricedLevelSet()
+    compiled = CompiledPlan(plan, DEVICE)
+    assert compiled.pure is False
+    dp = DistributedPlan(plan, DEVICE, 3, compiled=compiled)
+    for b0 in (1.0, 5.0):
+        b = np.linspace(1.0, 2.0, L.n_rows)
+        b[0] = b0
+        live = 1e-6 * (1 + b0)
+        x, rep = compiled.solve(b)
+        x_ref, rep_ref = plan.solve(b, DEVICE)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12)
+        assert rep.kernels[0].time_s == live
+        assert rep.time_s == rep_ref.time_s
+        obs = Observability()
+        with obs.activate():
+            x_obs, rep = compiled.solve(b)
+        assert np.array_equal(x_obs, x)
+        assert rep.time_s == rep_ref.time_s
+        assert rep.profile[0]["sim_time_s"] == live
+        assert obs.serve_metrics.kernel_launches.total() == rep.launches
+        (span,) = [s for s in obs.tracer.spans()
+                   if s.name == "segment.tri" and s.attrs["index"] == 0]
+        assert span.attrs["sim_time_s"] == live
+        assert np.array_equal(dp.solve(b)[0], x)
+        B = np.stack([b, 2 * b], axis=1)
+        assert np.array_equal(dp.solve_multi(B)[0], compiled.solve_multi(B)[0])
+
+
+def test_first_fused_solve_runs_the_compiled_steps(monkeypatch):
+    """The first ``solve_multi`` at a new RHS width runs the compiled
+    steps like every later one: a kept SuperLU engine answers it, so it
+    is bit-identical to later solves and to the sharded solve."""
+    pytest.importorskip("scipy")
+    # The engine wins every timed probe: the keep-or-drop race is timed,
+    # and a dropped engine would leave nothing to skip.
+    ticks = itertools.count()
+    monkeypatch.setattr(executor, "_best_of", lambda fn, reps=2: next(ticks))
+    L, prepared = _prepared("recursive-block", n=600, seed=9, density=0.02)
+    B = np.random.default_rng(4).standard_normal((L.n_rows, 3))
+    X1, _ = prepared.solve_multi(B)
+    X2, _ = prepared.solve_multi(B)
+    Xd, _ = DistributedPlan.from_prepared(prepared, 3).solve_multi(B)
+    verdicts = prepared.compile().engine_verdicts()
+    assert any(v and any(v.values()) for v in verdicts), "no engine kept"
+    # the engine's rounding differs from the kernels' reporting path
+    assert not np.array_equal(X2, prepared.plan.solve_multi(B, DEVICE)[0])
+    assert np.array_equal(X1, X2)
+    assert np.array_equal(X1, Xd)
+
+
+class _Unreportable(LevelSetKernel):
+    """A kernel whose reporting path fails, so no plan using it compiles."""
+
+    def solve(self, aux, b, device):
+        raise RuntimeError("no simulated report")
+
+
+class _UncompilableSolver(LevelSetSolver):
+    method = "uncompilable-test"
+
+    def _prepare(self, L):
+        prepared = super()._prepare(L)
+        prepared.plan.segments[0].kernel = _Unreportable()
+        return prepared
+
+
+def test_compile_failure_raises_and_service_falls_back():
+    L = random_lower(80, 0.08, seed=11)
+    prepared = _UncompilableSolver(device=DEVICE).prepare(L)
+    with pytest.raises(RuntimeError, match="no simulated report"):
+        prepared.solve(np.ones(L.n_rows))
+    register_solver("uncompilable-test", _UncompilableSolver)
+    try:
+        with SolveService(device=DEVICE) as svc:
+            res = svc.solve(L, np.ones(L.n_rows), method="uncompilable-test")
+            stats = svc.stats()
+    finally:
+        unregister_solver("uncompilable-test")
+    assert res.fallback and res.method == "levelset"
+    assert stats.fallbacks == 1
+    np.testing.assert_allclose(L.matvec(res.x), np.ones(L.n_rows), atol=1e-9)
 
 
 def test_obs_active_takes_the_instrumented_path():
@@ -164,11 +271,11 @@ def test_obs_active_takes_the_instrumented_path():
     obs = Observability()
     with obs.activate():
         x, rep = prepared.solve(np.ones(L.n_rows))
-    # The traced solve ran the plan path: per-segment profile present.
+    # The traced solve ran the observed step loop: one profile row per
+    # segment, and the same numerics as the untraced solve.
     assert len(rep.profile) == len(prepared.plan.segments)
     assert obs.serve_metrics.solves_total.value(method="recursive-block") == 1
-    np.testing.assert_allclose(x, compiled.solve(np.ones(L.n_rows))[0],
-                               rtol=1e-9)
+    assert np.array_equal(x, compiled.solve(np.ones(L.n_rows))[0])
 
 
 def test_prepared_solve_compiles_lazily_and_caches():
