@@ -31,6 +31,7 @@ from repro.core.plan import ExecutionPlan, SpMVSegment, TriSegment
 from repro.core.recursive_block import recursive_ranges
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import DeviceModel
+from repro.graph.levels import compute_levels
 from repro.graph.reorder import levelset_permutation
 from repro.obs.runtime import span as obs_span
 from repro.utils.arrays import counts_to_indptr, gather_row_ranges, segment_ids
@@ -78,18 +79,28 @@ def recursive_levelset_reorder(
     ~``(depth + 1) * nnz``), and ``splits[(lo, hi)]`` records the chosen
     split of every internal range.
     """
+    return _reorder(L, depth, align_levels)[:3]
+
+
+def _reorder(
+    L: CSRMatrix, depth: int, align_levels: bool
+) -> tuple[np.ndarray, int, dict, dict]:
+    """:func:`recursive_levelset_reorder` plus, per leaf range, the
+    levels of the permuted matrix's diagonal block there: the leaf's
+    levels in its local sort order (a row's level depends only on the
+    dependency graph)."""
     n = L.n_rows
     perm = np.arange(n, dtype=np.int64)
     reorder_nnz = 0
     splits: dict = {}
+    leaf_levels: dict = {}
 
     def rec(lo: int, hi: int, d: int) -> None:
         nonlocal reorder_nnz
         if hi - lo < 2:
+            leaf_levels[(lo, hi)] = np.zeros(hi - lo, dtype=np.int64)
             return
         sub = _permuted_principal_block(L, perm[lo:hi])
-        from repro.graph.levels import compute_levels
-
         levels = compute_levels(sub)
         local = levelset_permutation(sub, levels)
         perm[lo:hi] = perm[lo:hi][local]
@@ -108,9 +119,11 @@ def recursive_levelset_reorder(
             splits[(lo, hi)] = mid
             rec(lo, mid, d - 1)
             rec(mid, hi, d - 1)
+        else:
+            leaf_levels[(lo, hi)] = levels[local]
 
     rec(0, n, depth)
-    return perm, reorder_nnz, splits
+    return perm, reorder_nnz, splits, leaf_levels
 
 
 def ranges_from_splits(lo: int, hi: int, splits: dict):
@@ -200,6 +213,7 @@ def build_improved_recursive_plan(
     selector = selector or AdaptiveSelector()
     n = L.n_rows
     splits = None
+    leaf_levels: dict = {}
     if precomputed is not None:
         perm, Lp = precomputed
         reorder_nnz = 0
@@ -208,8 +222,8 @@ def build_improved_recursive_plan(
         with obs_span(
             "planner.reorder", depth=depth, align_levels=align_levels
         ) as sp:
-            perm, reorder_nnz, splits = recursive_levelset_reorder(
-                L, depth, align_levels=align_levels
+            perm, reorder_nnz, splits, leaf_levels = _reorder(
+                L, depth, align_levels
             )
             Lp = L.permute_symmetric(perm)
             sp.set(reorder_nnz=reorder_nnz)
@@ -238,7 +252,9 @@ def build_improved_recursive_plan(
     with obs_span("planner.pack", use_dcsr=use_dcsr) as sp:
         for op in ops:
             if op[0] == "tri":
-                seg = builder.tri_segment(op[1], op[2])
+                seg = builder.tri_segment(
+                    op[1], op[2], leaf_levels.get((op[1], op[2]))
+                )
                 segments.append(seg)
                 blocks.append(
                     StoredBlock(

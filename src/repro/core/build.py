@@ -17,6 +17,7 @@ from repro.core.plan import SpMVSegment, TriSegment
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport
+from repro.graph.levels import compute_levels, seed_levels
 from repro.graph.stats import square_features, triangle_features
 from repro.kernels import SPMV_KERNELS, SPTRSV_KERNELS
 from repro.kernels.base import prepare_lower
@@ -79,15 +80,29 @@ class SegmentBuilder:
     use_dcsr: bool = True
     stats: BuildStats = field(default_factory=BuildStats)
 
-    def tri_segment(self, lo: int, hi: int) -> TriSegment:
-        """Extract rows/cols [lo, hi) as a triangular solve segment."""
+    def tri_segment(
+        self, lo: int, hi: int, levels: np.ndarray | None = None
+    ) -> TriSegment:
+        """Extract rows/cols [lo, hi) as a triangular solve segment.
+
+        ``levels``, the block's level sets when the caller already knows
+        them, feed the selection features and seed the level cache of a
+        kernel that builds a level schedule; otherwise they are computed
+        here at most once.
+        """
         sub = self.L.extract_block(lo, hi, lo, hi)
         prep = prepare_lower(sub)
         if self.fixed_tri is not None:
             name = self.fixed_tri
         else:
-            name = self.selector.select_sptrsv(triangle_features(prep.L))
+            if levels is None:
+                levels = compute_levels(prep.L)
+            name = self.selector.select_sptrsv(
+                triangle_features(prep.L, levels)
+            )
         kernel = SPTRSV_KERNELS[name]()
+        if levels is not None and kernel.level_schedule:
+            seed_levels(prep.L, levels)
         with obs_span(
             "planner.kernel_prep", kernel=name, rows=f"{lo}:{hi}", nnz=sub.nnz
         ):

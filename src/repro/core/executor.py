@@ -32,12 +32,15 @@ report is a pure function of ``(aux, device, n_rhs)``.
   step; each values overlay then builds its engine with two gathers and
   one multiply, array-for-array equal to the SciPy construction, which
   remains only as the fallback for duplicate entries and exact-zero
-  products.  The engine must *beat the kernel's own sweep on a timed
-  probe and reproduce its result* to be selected; otherwise the kernel's
-  ``solve_numeric`` runs unchanged.  An overlay bound to value bytes an
-  earlier overlay already verified adopts that overlay's verdicts
-  (:meth:`CompiledPlan.adopt_engine_verdicts`) instead of probing
-  again.  With SciPy absent everything still works on the kernel path.
+  products.  Whether a segment uses the engine is decided from its
+  structure alone (:func:`engine_rule`), so every plan over one pattern
+  chooses alike and nothing is timed; a chosen engine must still
+  *reproduce the kernel's result on the plan's own values*, or the
+  kernel's ``solve_numeric`` runs unchanged.  An overlay bound to value
+  bytes an earlier overlay already verified adopts that overlay's
+  verdicts (:meth:`CompiledPlan.adopt_engine_verdicts`) instead of
+  probing again.  With SciPy absent everything still works on the
+  kernel path.
 
 Single-RHS, multi-RHS, plan-order and schedule-order solves, observed or
 not, all run one step loop (:meth:`CompiledPlan._execute`), so they are
@@ -53,7 +56,6 @@ itself.  The disabled-obs check remains a single thread-local lookup.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
@@ -70,6 +72,7 @@ __all__ = ["CompiledPlan", "compile_plan"]
 
 try:  # pragma: no cover - exercised only where SciPy is installed
     from scipy.sparse import csr_array, diags_array
+    from scipy.sparse._sparsetools import csr_tocsc
     from scipy.sparse.linalg._dsolve import _superlu
 
     _HAVE_SUPERLU = True
@@ -82,6 +85,13 @@ ENGINE_VERIFY_RTOL = 1e-9
 #: segments smaller than this never get a SuperLU engine (the per-call
 #: library overhead exceeds any win on a handful of rows)
 ENGINE_MIN_ROWS = 16
+#: a kernel that sweeps a level schedule keeps its own numerics on
+#: segments at most this deep and nnz/row dense and at least this tall
+#: (fitted offline by benchmarks/bench_engine_rule.py, whose --check
+#: holds these equal to the committed BENCH_engine_rule.json)
+KERNEL_MAX_LEVELS = 3
+KERNEL_MAX_NNZ_PER_ROW = 1.75
+KERNEL_MIN_ROWS = 181
 #: arenas retained per (dtype, n_rhs) key when idle
 _POOL_KEEP = 8
 
@@ -95,8 +105,9 @@ def _csc_layout(L) -> tuple:
     ``perm[k]`` is the CSR position of CSC entry ``k`` and ``col[k]`` its
     column; ``indices``/``indptr`` are the ``intc`` arrays SuperLU
     takes, read-only because every values overlay of the pattern shares
-    them.  Derived from the sparsity pattern alone — SciPy's own
-    ``tocsc`` run on the entry positions instead of the values.
+    them.  Derived from the sparsity pattern alone — the routine SciPy's
+    ``tocsc`` runs, called on the entry positions instead of the values
+    and straight into ``intc`` index arrays.
     Returns ``()`` when a row repeats a column: SciPy's construction
     sums duplicates, which a gather cannot reproduce.
     """
@@ -104,15 +115,18 @@ def _csc_layout(L) -> tuple:
         # prepare_lower sorted L, so a row whose columns do not strictly
         # increase repeats one
         return ()
-    n = L.n_rows
-    pos = csr_array(
-        (np.arange(L.nnz, dtype=np.intp), L.indices, L.indptr), shape=(n, n)
-    ).tocsc()
-    indptr = pos.indptr.astype(np.intc)
+    n, nnz = L.n_rows, L.nnz
+    perm = np.empty(nnz, dtype=np.intp)
+    indices = np.empty(nnz, dtype=np.intc)
+    indptr = np.empty(n + 1, dtype=np.intc)
+    csr_tocsc(
+        n, n, L.indptr.astype(np.intc), L.indices.astype(np.intc),
+        np.arange(nnz, dtype=np.intp), indptr, indices, perm,
+    )
     layout = (
-        pos.data,
+        perm,
         np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr)),
-        pos.indices.astype(np.intc),
+        indices,
         indptr,
     )
     for arr in layout[2:]:
@@ -199,32 +213,37 @@ class _GstrsEngine:
             np.multiply(x, self.invdiag, out=outseg, casting="unsafe")
 
 
+def engine_rule(kernel: str, rows: int, nnz_per_row: float,
+                nlevels: int | None, *,
+                max_levels: int = KERNEL_MAX_LEVELS,
+                max_nnz_per_row: float = KERNEL_MAX_NNZ_PER_ROW,
+                min_rows: float = KERNEL_MIN_ROWS) -> bool:
+    """Whether a triangular segment solves through a SuperLU engine,
+    from its kernel, rows, nnz/row and ``nlevels`` of its level schedule
+    (``None`` for a kernel without one) — the features Algorithm 7
+    (§3.4) chooses kernels by.  The thresholds default to the fitted
+    constants; the offline sweep passes candidates."""
+    if rows < ENGINE_MIN_ROWS or kernel == "diagonal":
+        return False
+    return not (
+        nlevels is not None
+        and nlevels <= max_levels
+        and nnz_per_row <= max_nnz_per_row
+        and rows >= min_rows
+    )
+
+
 # --------------------------------------------------------------------- #
 # Compiled steps
 # --------------------------------------------------------------------- #
-class _SeededKeep:
-    """Truthy engine-verdict marker for loaded pattern templates.
-
-    Installed by :meth:`_TriStep._seed_engine`; overlays only test it
-    for None-ness when inheriting the keep/drop decision.  Templates
-    hold tracer values and are never solved, so actually solving
-    through the marker is a logic error worth failing loudly on.
-    """
-
-    __slots__ = ()
-
-    def solve_into(self, *args, **kwargs):
-        raise RuntimeError(
-            "seeded engine verdict marker cannot solve; pattern "
-            "templates are not solved directly"
-        )
-
-
-_SEEDED_KEEP = _SeededKeep()
-
-
 class _TriStep:
-    """One prebound triangular sub-solve."""
+    """One prebound triangular sub-solve.
+
+    Whether it may use a SuperLU engine is decided at construction by
+    :func:`engine_rule`, from features the segment already carries; the
+    engine is built per work dtype on first use and kept only if it
+    passes the accuracy probe on this step's values.
+    """
 
     __slots__ = ("lo", "hi", "kernel", "aux", "device", "prep",
                  "try_engine", "_engines", "_template", "_layout")
@@ -240,14 +259,12 @@ class _TriStep:
         self.try_engine = bool(
             _HAVE_SUPERLU
             and self.prep is not None
-            and self.hi - self.lo >= ENGINE_MIN_ROWS
-            and seg.kernel.name != "diagonal"
+            and engine_rule(*_engine_features(seg, self.prep))
         )
         #: work dtype -> verified engine, or None after a failed attempt
         self._engines: dict = {}
-        #: same step of a pattern-template plan: its engine-vs-kernel
-        #: timing decision is structural, so values overlays inherit it
-        #: instead of re-probing (verification still runs per overlay)
+        #: same step of the pattern-template plan, whose CSC layout this
+        #: values overlay shares
         self._template = template
         #: this step's :func:`_csc_layout`, once computed
         self._layout = None
@@ -273,26 +290,6 @@ class _TriStep:
             layout = owner._layout = _csc_layout(owner.prep.L)
         return _GstrsEngine(self.prep, compute, layout)
 
-    def _seed_engine(self, work_dtype, keep: bool) -> None:
-        """Replay a persisted engine verdict (repro.serve.store).
-
-        The keep-or-drop decision involves a *timed* probe; a loading
-        process re-running that race could flip the winner and diverge
-        (within the verification tolerance) from the process that wrote
-        the entry.  Seeding pins the decision: ``keep=False`` forces the
-        kernel path, ``keep=True`` installs a verdict marker.
-
-        Seeded steps belong to a *pattern template* (tracer values,
-        never solved directly): values overlays consult them only as a
-        None-or-not oracle in :meth:`_build_engine` before building and
-        accuracy-verifying their own engine against the real values, so
-        the marker never needs to solve — and factorizing + probing the
-        tracer values here would re-derive what the writing process
-        already verified, at the cost that dominates a warm start.
-        """
-        dt = np.dtype(work_dtype)
-        self._engines[dt] = _SEEDED_KEEP if keep and self.try_engine else None
-
     def _trust_engine(self, work_dtype, keep: bool) -> None:
         """Adopt a keep-or-drop verdict already verified on *these value
         bytes*, without re-running the accuracy probe.
@@ -306,15 +303,14 @@ class _TriStep:
         on exactly these bytes, and an engine rebuilt from the same bytes
         by the same code solves identically, so probing again would
         recompute a deterministic check.  ``keep=False`` pins the kernel
-        path; ``keep=True`` builds the engine, unless the template kept
-        the kernel path for this dtype or the build fails.
+        path; ``keep=True`` builds the engine unless the build fails.  A
+        step the structural rule keeps on the kernel path ignores both.
         """
         dt = np.dtype(work_dtype)
-        tmpl = self._template
-        if dt in self._engines or not self.try_engine or tmpl is None:
+        if dt in self._engines or not self.try_engine:
             return
         engine = None
-        if keep and tmpl._engine_for(dt) is not None:
+        if keep:
             try:
                 compute = solve_dtype(self.prep.L.data.dtype, dt)
                 engine = self._new_engine(compute)
@@ -323,12 +319,8 @@ class _TriStep:
         self._engines[dt] = engine
 
     def _build_engine(self, work_dtype: np.dtype):
-        """Build + verify an engine for this work dtype; None on failure."""
-        tmpl = self._template
-        if tmpl is not None and tmpl._engine_for(work_dtype) is None:
-            # the template already probed this dtype and kept the kernel
-            # path — the decision depends only on structure, not values
-            return None
+        """Build an engine for this work dtype and check it reproduces
+        the kernel's result on this step's values; None on failure."""
         try:
             compute = solve_dtype(self.prep.L.data.dtype, work_dtype)
             engine = self._new_engine(compute)
@@ -343,21 +335,7 @@ class _TriStep:
             err = float(np.max(np.abs(got - ref))) if n else 0.0
             if not np.isfinite(err) or err > ENGINE_VERIFY_RTOL * scale:
                 return None
-            if tmpl is not None:
-                # inherit the template's (or a persisted) timing
-                # decision — it kept an engine for this dtype; the
-                # accuracy check above already ran against *these* values
-                return engine
-            # Keep the engine only when it actually beats the kernel's
-            # own numerics on a timed probe (min of 2 reps each).
-            scratch = np.empty(n, dtype=compute)
-            t_eng = _best_of(
-                lambda: engine.solve_into(probe, got, scratch)
-            )
-            t_ker = _best_of(
-                lambda: self.kernel.solve_numeric(self.aux, probe, self.device)
-            )
-            return engine if t_eng < t_ker else None
+            return engine
         except Exception:
             return None
 
@@ -434,13 +412,14 @@ def _segment_prep(seg: TriSegment) -> PreparedLower | None:
     return None
 
 
-def _best_of(fn, reps: int = 2) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _engine_features(seg: TriSegment, prep: PreparedLower) -> tuple:
+    """``(kernel, rows, nnz/row, nlevels)``: what :func:`engine_rule`
+    decides a segment from (``nlevels`` of its level schedule, ``None``
+    for a kernel without one)."""
+    rows = seg.hi - seg.lo
+    sched = getattr(seg.aux, "sched", None)
+    return (seg.kernel.name, rows, prep.nnz / max(rows, 1),
+            getattr(sched, "nlevels", None))
 
 
 # --------------------------------------------------------------------- #
@@ -585,8 +564,9 @@ class CompiledPlan:
         dtype-promotion memo, and — the big one — the arena pool, so all
         overlays of one pattern draw scratch buffers from a single
         bounded free-list.  Only the step objects are rebuilt, each
-        aimed at this plan's value arrays and inheriting its template
-        step's engine decision.
+        aimed at this plan's value arrays and sharing its template
+        step's CSC layout; the engine decision is structural, so each
+        step reaches the template's on its own.
         """
         if (
             tmpl.n != self.n
@@ -633,23 +613,13 @@ class CompiledPlan:
 
     def adopt_engine_verdicts(self, verdicts) -> None:
         """Install verdicts captured by :meth:`engine_verdicts` without
-        probing.
-
-        On a values overlay each step adopts through
-        :meth:`_TriStep._trust_engine`, so ``verdicts`` must have been
-        verified on this overlay's exact value bytes.  On a pattern
-        template (steps without a template of their own) they are
-        seeded as the timed keep-or-drop decision overlays inherit.
-        """
+        probing, through :meth:`_TriStep._trust_engine`: ``verdicts``
+        must have been verified on this plan's exact value bytes."""
         for step, decided in zip(self._steps, verdicts):
             if not decided:
                 continue
-            adopt = (
-                step._trust_engine if step._template is not None
-                else step._seed_engine
-            )
             for dt, keep in decided.items():
-                adopt(dt, keep)
+                step._trust_engine(dt, keep)
 
     # -- frozen reports ----------------------------------------------- #
     def _scratch_dtype(self, work_dtype):

@@ -77,12 +77,17 @@ class PlanRebinder:
     values.  Construction raises :class:`RebindError` on any value
     array that is not an exact gather of tracer positions — e.g. an
     external kernel whose preprocessing does arithmetic on the values.
+    ``verified=True`` skips that check for a plan whose arrays already
+    passed it byte for byte: a plan-store entry, written only after the
+    writer's own rebinder accepted the same checksummed arrays.
     """
 
-    def __init__(self, plan: ExecutionPlan, nnz: int, dtype) -> None:
+    def __init__(self, plan: ExecutionPlan, nnz: int, dtype, *,
+                 verified: bool = False) -> None:
         self.plan = plan
         self.nnz = int(nnz)
         self.dtype = np.dtype(dtype)
+        self._verified = verified
         self._seg_binders = [self._segment_binder(s) for s in plan.segments]
 
     # ------------------------------------------------------------------ #
@@ -95,15 +100,19 @@ class PlanRebinder:
             raise RebindError(
                 f"value array dtype {arr.dtype} != matrix dtype {self.dtype}"
             )
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise RebindError("non-finite tracer value (arithmetic on values)")
-        pos = np.rint(arr).astype(np.int64) - 1
+        if self._verified:
+            return np.subtract(arr, 1, dtype=np.int64, casting="unsafe")
+        with np.errstate(invalid="ignore"):  # NaN/inf cast to garbage
+            pos = arr.astype(np.int64)
+        # Only a tracer position, an exact integer in [1, nnz], survives
+        # the round trip: fractions, NaN and inf compare unequal.
         if arr.size and (
-            not np.array_equal((pos + 1).astype(arr.dtype), arr)
-            or pos.min() < 0
-            or pos.max() >= self.nnz
+            not np.array_equal(pos, arr)
+            or pos.min() < 1
+            or pos.max() > self.nnz
         ):
             raise RebindError("value array is not a pure gather of the data")
+        pos -= 1
         return pos
 
     def matrix_binder(self, m):

@@ -105,8 +105,8 @@ class PreparedSolve:
 
         Used by the serve layer's structural batching: a values overlay
         compiles against the pattern's :class:`CompiledPlan` so the
-        arena pool, frozen reports, and engine decisions are inherited
-        instead of re-probed.
+        arena pool, frozen reports, and CSC layouts are shared instead
+        of rebuilt.
         """
         with self._compile_lock:
             if self._compiled is None:

@@ -174,15 +174,14 @@ class DistributedPlan:
         """Compile the tiled plan, *sharing* the source's compiled
         triangular steps.
 
-        Sharing matters for the bit-identity guarantee: a compiled
-        triangular step may carry a probe-selected SuperLU engine, and
-        that selection is timed — two independent compilations could
-        choose differently and diverge at the engine-verification
-        tolerance.  Reusing the base plan's step objects (the tiled plan
-        shares its TriSegment instances) makes the sharded numerics run
-        literally the same triangular code paths as the single-device
-        compiled plan; the SpMV row slices are bitwise equal by
-        row-locality.
+        Whether a compiled triangular step uses a SuperLU engine is a
+        structural decision, so an independent compilation would choose
+        the same engines; sharing the base plan's step objects (the
+        tiled plan shares its TriSegment instances) saves building and
+        accuracy-probing each engine twice, and makes the sharded
+        numerics run literally the same triangular code paths as the
+        single-device compiled plan.  The SpMV row slices are bitwise
+        equal by row-locality.
         """
         if self.plan is source:  # nothing was split
             return base

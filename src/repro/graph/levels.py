@@ -29,6 +29,7 @@ __all__ = [
     "compute_levels",
     "compute_levels_kahn",
     "cached_levels",
+    "seed_levels",
     "level_sets",
     "n_levels",
 ]
@@ -128,6 +129,12 @@ def cached_levels(L: CSRMatrix) -> np.ndarray:
     levels = compute_levels(L)
     L._levels_cache = levels
     return levels
+
+
+def seed_levels(L: CSRMatrix, levels: np.ndarray) -> None:
+    """Memoize ``levels``, already known to be ``L``'s, for
+    :func:`cached_levels`."""
+    L._levels_cache = levels
 
 
 def level_sets(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -110,6 +110,10 @@ class SpTRSVKernel(ABC):
     #: reuse it across solves.  All built-in kernels qualify; external
     #: kernels must opt in explicitly.
     pure_report: bool = False
+    #: True when :meth:`preprocess` builds a level schedule from
+    #: ``cached_levels(prep.L)``: a builder that already holds the
+    #: block's level sets seeds that cache instead of recomputing them
+    level_schedule: bool = False
 
     @abstractmethod
     def preprocess(

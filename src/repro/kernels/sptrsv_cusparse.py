@@ -71,6 +71,7 @@ class CuSparseLikeKernel(SpTRSVKernel):
 
     name = "cusparse"
     pure_report = True
+    level_schedule = True
 
     def solve_numeric(
         self, aux: _CuSparseAux, b: np.ndarray, device: DeviceModel

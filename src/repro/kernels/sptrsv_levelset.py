@@ -179,6 +179,7 @@ class LevelSetKernel(SpTRSVKernel):
 
     name = "levelset"
     pure_report = True
+    level_schedule = True
 
     def __init__(self, merge_levels: bool = False) -> None:
         self.merge_levels = merge_levels

@@ -90,6 +90,7 @@ class SyncFreeKernel(SpTRSVKernel):
 
     name = "syncfree"
     pure_report = True
+    level_schedule = True
 
     def solve_numeric(
         self, aux: _SyncFreeAux, b: np.ndarray, device: DeviceModel

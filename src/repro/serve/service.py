@@ -212,7 +212,7 @@ class _PatternEntry:
     For *rebindable* patterns the plan was built once on a tracer
     matrix (:func:`repro.core.rebind.tracer_matrix`) and every distinct
     values vector binds onto it with gathers, inheriting the compiled
-    step graph, arena pool, and engine decisions.  Patterns whose value
+    step graph, arena pool, and CSC layouts.  Patterns whose value
     flow cannot be traced (external prepared types, opaque kernels)
     fall back to one full build per values vector — same cache shape,
     no sharing.
@@ -970,7 +970,9 @@ class SolveService:
             raise ValueError("not a rebindable pattern payload")
         plan = payload["template_plan"]
         dtype = np.dtype(payload["dtype"])
-        binder = PlanRebinder(plan, int(payload["nnz"]), dtype)
+        binder = PlanRebinder(
+            plan, int(payload["nnz"]), dtype, verified=True
+        )
         prepared_t = PreparedSolve(
             payload["method"], plan, cfg.device, payload["preprocess_report"]
         )
@@ -981,7 +983,6 @@ class SolveService:
         template_compiled = prepared_t._compiled = compile_plan(
             plan, cfg.device, frozen=None if frozen is None else tuple(frozen)
         )
-        template_compiled.adopt_engine_verdicts(payload["engine_decisions"])
         template_dist = None
         if cfg.n_devices > 1:
             sched = payload.get("dist_schedule")
@@ -1047,15 +1048,11 @@ class SolveService:
             self.store.count_skipped()
             return
         A = job.A
-        # Settle the first overlay's engines now, on its real values (the
-        # template's timed verdicts settle on the way): a loader adopts
-        # only verdicts these very bytes have passed.  Re-running the
-        # timed race there could also flip the template's winner and
-        # break loaded-vs-built bit identity.
+        # Settle the first overlay's engines now, on its real values: a
+        # loader adopts only verdicts these very bytes have passed.
         dt = pattern.binder.dtype
         first = pattern.overlays[job.vfp].prepared._compiled
         values_verdicts = {job.vfp: first.engine_verdicts(resolve=dt)}
-        template = pattern.template_compiled
         payload = {
             "kind": "pattern",
             "rebindable": True,
@@ -1069,9 +1066,8 @@ class SolveService:
             "dtype": str(pattern.binder.dtype),
             "build_prep_s": pattern.build_prep_s,
             "rebind_prep_s": pattern.rebind_prep_s,
-            "engine_decisions": template.engine_verdicts(resolve=dt),
             "values_verdicts": values_verdicts,
-            "frozen_reports": template._captures[0],
+            "frozen_reports": pattern.template_compiled._captures[0],
             "dist_n_devices": cfg.n_devices,
             "dist_schedule": (
                 pattern.template_dist.schedule

@@ -11,12 +11,17 @@ fingerprint, and a fresh service warms from disk instead of replanning.
 
 File format (one entry per file, named ``<blake2b(key)>.plan``)::
 
-    MAGIC "RPS1" | u32 header length | header JSON | pickled payload
+    MAGIC "RPS1" | u32 header length | header JSON | payload
+    payload = pickle stream | array buffers, each at a 64-byte boundary
 
+The payload is pickled with protocol 5 and its arrays' bytes kept out of
+band, so a load unpickles only the small stream and every array becomes
+a view of the one buffer the file was read into, with no per-array copy.
 The header carries everything needed to judge an entry *without*
 unpickling it: the on-disk format version, the library version that
 wrote it, the structure (and first values) fingerprints, method, dtype,
-device, and a BLAKE2b checksum + byte length of the payload.  Loads are
+device, the SHA-256 checksum and byte length of the whole payload, and
+where its pickle stream ends and each array buffer lies.  Loads are
 strict about trust and forgiving about outcome: any truncation, magic or
 checksum mismatch, undecodable header/payload, or version/fingerprint
 disagreement is *counted* and treated as a miss — the caller falls back
@@ -43,6 +48,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Mapping
 
+import numpy as np
+
 from repro.errors import ReproError
 
 __all__ = [
@@ -62,7 +69,12 @@ __all__ = [
 MAGIC = b"RPS1"
 #: bumped whenever the container layout or the payload schema changes;
 #: old entries then deserialize as clean misses, never as garbage plans
-FORMAT_VERSION = 2
+#: (3: no template engine decisions, SHA-256 payload checksum,
+#: out-of-band array buffers)
+FORMAT_VERSION = 3
+#: array buffers start at multiples of this many bytes from the start of
+#: the entry (the header JSON is padded with spaces to one)
+_ALIGN = 64
 
 _HEADER_MAX = 1 << 20  # 1 MiB of JSON header is already absurd
 
@@ -121,19 +133,36 @@ def key_digest(key: Hashable) -> str:
 def encode_entry(header: Mapping[str, Any], payload: Any) -> bytes:
     """Serialize one store entry; fills in the version + checksum fields.
 
-    ``header`` must be JSON-serializable; ``payload`` is pickled.  The
-    returned bytes are self-validating via :func:`decode_entry`.
+    ``header`` must be JSON-serializable; ``payload`` is pickled with its
+    array buffers out of band.  The returned bytes are self-validating
+    via :func:`decode_entry`.
     """
     from repro import __version__
 
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    buffers: list = []
+    stream = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
+    parts = [stream]
+    spans = []
+    size = len(stream)
+    for buf in buffers:
+        raw = buf.raw()
+        pad = -size % _ALIGN
+        parts += [bytes(pad), raw]
+        spans.append([size + pad, raw.nbytes])
+        size += pad + raw.nbytes
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
     full = dict(header)
     full["format_version"] = FORMAT_VERSION
     full["library_version"] = __version__
-    full["payload_bytes"] = len(blob)
-    full["payload_blake2b"] = hashlib.blake2b(blob, digest_size=16).hexdigest()
+    full["payload_bytes"] = size
+    full["payload_sha256"] = digest.hexdigest()
+    full["payload_pickle_bytes"] = len(stream)
+    full["payload_buffers"] = spans
     hj = json.dumps(full, sort_keys=True).encode()
-    return MAGIC + struct.pack("<I", len(hj)) + hj + blob
+    hj += b" " * (-(len(MAGIC) + 4 + len(hj)) % _ALIGN)
+    return b"".join([MAGIC, struct.pack("<I", len(hj)), hj, *parts])
 
 
 def read_header(data: bytes) -> dict:
@@ -154,7 +183,7 @@ def read_header(data: bytes) -> dict:
     if len(data) < start + hlen:
         raise StoreCorruptError("entry truncated inside header")
     try:
-        header = json.loads(data[start : start + hlen].decode())
+        header = json.loads(str(data[start : start + hlen], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptError(f"undecodable header: {exc}") from None
     if not isinstance(header, dict):
@@ -171,9 +200,12 @@ def read_header(data: bytes) -> dict:
 
 
 def decode_entry(
-    data: bytes, *, expect: Mapping[str, Any] | None = None
+    data, *, expect: Mapping[str, Any] | None = None
 ) -> tuple[dict, Any]:
     """``(header, payload)`` of one entry, fully validated.
+
+    ``data`` is any contiguous byte buffer.  The payload's arrays are
+    views of it, which keep it alive, and are writable when it is.
 
     Raises :class:`StoreCorruptError` for damaged bytes and
     :class:`StoreMismatchError` when the entry is intact but written by
@@ -204,12 +236,14 @@ def decode_entry(
                     f"header field {field!r}: stored {got!r}, expected {want!r}"
                 )
     start = len(MAGIC) + 4 + struct.unpack_from("<I", data, len(MAGIC))[0]
-    blob = data[start:]
-    digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
-    if digest != header.get("payload_blake2b"):
+    blob = memoryview(data)[start:]  # no copy of the payload
+    if hashlib.sha256(blob).hexdigest() != header.get("payload_sha256"):
         raise StoreCorruptError("payload checksum mismatch")
     try:
-        payload = pickle.loads(blob)
+        buffers = [blob[lo:lo + n] for lo, n in header["payload_buffers"]]
+        payload = pickle.loads(
+            blob[: header["payload_pickle_bytes"]], buffers=buffers
+        )
     except Exception as exc:  # noqa: BLE001 - any unpickle failure = corrupt
         raise StoreCorruptError(f"unpicklable payload: {exc}") from None
     return header, payload
@@ -276,7 +310,13 @@ class PlanStore:
         experiences)."""
         path = self.path_for(key)
         try:
-            data = path.read_bytes()
+            # read into one writable buffer the payload's arrays become
+            # views of (uninitialized: readinto fills it)
+            with path.open("rb") as fh:
+                buf = memoryview(
+                    np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+                )
+                data = buf[: fh.readinto(buf)]
         except OSError:  # includes FileNotFoundError
             with self._lock:
                 self._misses += 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.blocked_matrix import (
     build_improved_recursive_plan,
+    ranges_from_splits,
     recursive_levelset_reorder,
 )
 from repro.formats.triangular import is_lower_triangular
@@ -200,3 +201,66 @@ class TestImprovedPlan:
         inv = invert_permutation(blocked.perm)
         assert np.allclose(medium_lower.matvec(x), b, atol=1e-8)
         assert len(inv) == medium_lower.n_rows
+
+
+class TestLevelsComputedOnce:
+    """The reorder's level sets are the leaves' level sets: a build
+    computes levels once per range the reorder visits and never again
+    per segment, and the levels it hands over are each segment's."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.core.blocked_matrix as blocked
+        import repro.core.build as build
+        import repro.graph.levels as levels
+        import repro.graph.stats as stats
+
+        seen = []
+        real = levels.compute_levels
+
+        def counted(L):
+            seen.append(L.n_rows)
+            return real(L)
+
+        for mod in (blocked, build, levels, stats):
+            monkeypatch.setattr(mod, "compute_levels", counted, raising=False)
+        return seen
+
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    @pytest.mark.parametrize("align", [False, True])
+    def test_once_per_reorder_range(self, calls, depth, align):
+        L = layered_random(np.full(12, 50), 4.0, np.random.default_rng(3))
+        _, _, splits = recursive_levelset_reorder(L, depth, align_levels=align)
+        tri = [r for r in ranges_from_splits(0, L.n_rows, splits)
+               if r[0] == "tri"]
+        visited = len(splits) + sum(1 for _, lo, hi in tri if hi - lo >= 2)
+        calls.clear()
+        blocked = build_improved_recursive_plan(L, depth, DEV,
+                                                align_levels=align)
+        assert len(calls) == visited
+        assert len(blocked.plan.tri_segments) == len(tri)
+
+    def test_once_per_segment_without_reorder(self, calls):
+        from repro.core.column_block import build_column_block_plan
+
+        L = random_lower(300, density=0.03, seed=4)
+        plan = build_column_block_plan(L, 8, DEV)
+        assert len(calls) == len(plan.tri_segments)
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_seeded_levels_are_each_segments(self, align):
+        from repro.core.executor import _segment_prep
+
+        L = powerlaw_matrix(500, 3.0, np.random.default_rng(5))
+        blocked = build_improved_recursive_plan(L, 3, DEV, align_levels=align)
+        kinds = set()
+        for seg in blocked.plan.tri_segments:
+            prep = _segment_prep(seg)
+            sched = getattr(seg.aux, "sched", None)
+            kinds.add(sched is not None)
+            if sched is None:
+                # a kernel without a level schedule keeps no levels
+                assert "_levels_cache" not in vars(prep.L)
+            else:
+                assert np.array_equal(sched.levels, compute_levels(prep.L))
+        assert kinds == {False, True}

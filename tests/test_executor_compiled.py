@@ -8,7 +8,6 @@ must never leak one request's data into another's answer.
 """
 
 import dataclasses
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import Observability, register_solver, unregister_solver
-from repro.core import executor
 from repro.core.executor import _POOL_KEEP, CompiledPlan, compile_plan
 from repro.core.solver import SOLVERS, LevelSetSolver, PreparedSolve
 from repro.dist import DistributedPlan
@@ -210,15 +208,13 @@ def test_non_pure_plan_delegates():
         assert np.array_equal(dp.solve_multi(B)[0], compiled.solve_multi(B)[0])
 
 
-def test_first_fused_solve_runs_the_compiled_steps(monkeypatch):
+def test_first_fused_solve_runs_the_compiled_steps():
     """The first ``solve_multi`` at a new RHS width runs the compiled
     steps like every later one: a kept SuperLU engine answers it, so it
     is bit-identical to later solves and to the sharded solve."""
     pytest.importorskip("scipy")
-    # The engine wins every timed probe: the keep-or-drop race is timed,
-    # and a dropped engine would leave nothing to skip.
-    ticks = itertools.count()
-    monkeypatch.setattr(executor, "_best_of", lambda fn, reps=2: next(ticks))
+    # The engine rule gives this plan's segments SuperLU engines from
+    # their structure, so there is a kept engine the first call could skip.
     L, prepared = _prepared("recursive-block", n=600, seed=9, density=0.02)
     B = np.random.default_rng(4).standard_normal((L.n_rows, 3))
     X1, _ = prepared.solve_multi(B)

@@ -154,8 +154,6 @@ def test_overlays_share_the_template_layout():
     L = random_lower(200, 0.05, seed=6)
     template, binder = _pattern(L)
     f64 = np.dtype(np.float64)
-    for step in _engine_steps(template):
-        step._seed_engine(f64, True)  # pin the timed keep verdict
     rng = np.random.default_rng(0)
     b = rng.standard_normal(L.n_rows)
     overlays = []
@@ -179,12 +177,10 @@ def test_overlays_share_the_template_layout():
 
 def test_overlay_failing_accuracy_check_runs_kernel_path():
     """An overlay whose values fail the engine's accuracy probe keeps
-    the kernel numerics even though the template kept an engine."""
+    the kernel numerics even though its structure chose an engine."""
     L = random_lower(200, 0.05, seed=7)
     template, binder = _pattern(L)
     f64 = np.dtype(np.float64)
-    for step in _engine_steps(template):
-        step._seed_engine(f64, True)
     bad = _with_entry(L, np.nan)
     plan = binder.bind(bad.data)
     compiled = CompiledPlan(plan, DEVICE, share_from=template)
@@ -203,8 +199,6 @@ def test_concurrent_overlays_build_scipy_equal_engines():
     L = random_lower(200, 0.05, seed=8)
     template, binder = _pattern(L)
     f64 = np.dtype(np.float64)
-    for step in _engine_steps(template):
-        step._seed_engine(f64, True)
     rng = np.random.default_rng(1)
     datas = [L.data * rng.uniform(0.5, 1.5, L.nnz) for _ in range(16)]
     b = np.ones(L.n_rows)
@@ -368,7 +362,7 @@ def test_only_completed_verdicts_are_recorded(monkeypatch):
 
     monkeypatch.setattr(_TriStep, "_build_engine", gated)
     with SolveService(overlay_capacity=1, max_workers=2) as svc:
-        svc.solve(L, b)  # settles the template's verdicts
+        svc.solve(L, b)  # builds the pattern and settles L's verdicts
         armed.append(True)
         fut = svc.submit(slow, b)
         assert started.wait(timeout=30)

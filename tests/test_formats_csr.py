@@ -164,6 +164,26 @@ class TestStructure:
         assert S.has_sorted_indices()
         assert np.array_equal(S.to_dense(), A.to_dense())
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sort_indices_is_the_lexsort_order(self, seed):
+        """Bit for bit the stable (row, col) lexsort order, with repeated
+        columns kept in storage order and empty rows in place."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = int(rng.integers(0, 40)), int(rng.integers(1, 40))
+        counts = rng.integers(0, 9, n_rows) * (rng.random(n_rows) < 0.7)
+        nnz = int(counts.sum())
+        # few distinct columns per row: duplicates are common
+        indices = rng.integers(0, min(n_cols, 5), nnz) * (n_cols // 5 or 1)
+        A = CSRMatrix(n_rows, n_cols, np.concatenate([[0], np.cumsum(counts)]),
+                      indices, rng.standard_normal(nnz))
+        order = np.lexsort(
+            (A.indices, np.repeat(np.arange(n_rows), A.row_counts()))
+        )
+        S = A.sort_indices()
+        assert np.array_equal(S.indptr, A.indptr)
+        assert S.indices.tobytes() == A.indices[order].tobytes()
+        assert S.data.tobytes() == A.data[order].tobytes()
+
     def test_sorted_detection_noop(self):
         A = random_square(15, 0.3, seed=1)
         assert A.has_sorted_indices()

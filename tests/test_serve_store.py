@@ -9,6 +9,7 @@ exception to the caller.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import threading
@@ -72,6 +73,43 @@ class TestEntryFormat:
         read_header(bytes(blob))
         with pytest.raises(StoreCorruptError):
             decode_entry(bytes(blob))
+
+    def test_arrays_are_aligned_views_of_the_entry(self):
+        """Arrays travel out of band: a load unpickles only the stream,
+        and each array is an aligned view of the entry's buffer."""
+        rng = np.random.default_rng(0)
+        payload = {
+            "a": rng.standard_normal(100_003),
+            "b": np.arange(7, dtype=np.int32),
+            "c": rng.integers(0, 9, (300, 301)),
+            "s": "text",
+        }
+        blob = bytearray(encode_entry({"k": 1}, payload))  # > one chunk
+        header, got = decode_entry(blob)
+        assert len(header["payload_buffers"]) == 3
+        for key in ("a", "b", "c"):
+            arr = got[key]
+            assert np.array_equal(arr, payload[key])
+            assert arr.dtype == payload[key].dtype
+            assert arr.flags.aligned and arr.flags.writeable
+            assert np.shares_memory(arr, np.frombuffer(blob, np.uint8))
+        assert got["s"] == "text"
+
+    def test_damage_anywhere_in_the_payload_detected(self):
+        """The checksum covers the pickle stream, the padding between
+        buffers and every buffer byte."""
+        payload = {"a": np.arange(70_001.0), "b": np.arange(3, dtype=np.int8)}
+        blob = encode_entry({"k": 1}, payload)
+        header = read_header(blob)
+        start = len(blob) - header["payload_bytes"]
+        (a_lo, a_n), (b_lo, _) = header["payload_buffers"]
+        assert b_lo > a_lo + a_n  # padding between the two buffers
+        for at in (0, header["payload_pickle_bytes"] - 1, a_lo,
+                   a_lo + a_n // 2, a_lo + a_n, b_lo):
+            damaged = bytearray(blob)
+            damaged[start + at] ^= 0x10
+            with pytest.raises(StoreCorruptError):
+                decode_entry(damaged)
 
     def test_bad_magic_detected(self):
         blob = b"XXXX" + encode_entry({}, {})[4:]
@@ -147,6 +185,51 @@ class TestCorruptionDegradesToMiss:
             _rewrite_header(entry.read_bytes(), structure_fp="0" * 32)
         )
         self._assert_cold_rebuild(path, mats, xs, mismatched=1)
+
+    def test_format_2_entry_is_rebuilt(self, warm):
+        """An entry as format 2 wrote it (BLAKE2b payload checksum) is a
+        counted mismatch; the rebuild rewrites it in the current format."""
+        path, mats, xs, entry = warm
+        blob = entry.read_bytes()
+        payload = blob[len(MAGIC) + 4 + struct.unpack_from("<I", blob, 4)[0]:]
+        old = _rewrite_header(
+            blob,
+            format_version=2,
+            payload_blake2b=hashlib.blake2b(payload, digest_size=16).hexdigest(),
+            payload_sha256=None,
+        )
+        entry.write_bytes(old)
+        self._assert_cold_rebuild(path, mats, xs, mismatched=1)
+        header, _ = decode_entry(entry.read_bytes())  # checksum verified
+        assert header["format_version"] == FORMAT_VERSION == 3
+        assert "payload_blake2b" not in header
+
+    def test_bit_flipped_payload_quarantined(self, warm):
+        """One flipped payload bit fails the SHA-256 check: the lookup
+        counts the entry corrupt and removes the file before the
+        rebuild writes a clean one."""
+        path, mats, xs, entry = warm
+        blob = bytearray(entry.read_bytes())
+        blob[-7] ^= 0x01
+        entry.write_bytes(bytes(blob))
+        store = PlanStore(path)
+        seen = []
+        lookup = store.lookup
+
+        def observed(key, **kw):
+            result = lookup(key, **kw)
+            seen.append((result[0], entry.exists()))
+            return result
+
+        store.lookup = observed
+        with SolveService(ServiceConfig(store=store)) as svc:
+            got = _solve_all(svc, mats)
+            stats = svc.stats()
+        store.close()
+        assert seen == [("corrupt", False)]
+        assert stats.store.corrupt == 1 and stats.pattern_builds == 1
+        assert all(np.array_equal(a, b) for a, b in zip(xs, got))
+        decode_entry(entry.read_bytes())  # rebuilt and rewritten clean
 
     def test_corrupt_entry_quarantined(self, warm):
         path, mats, _, entry = warm

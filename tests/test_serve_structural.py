@@ -87,6 +87,25 @@ class TestRebinder:
         x_ref, _ = direct.plan.solve(b, TITAN_RTX_SCALED)
         assert np.array_equal(x, x_ref)
 
+    def test_verified_rebinder_binds_like_the_checked_one(self):
+        """A store-loaded template skips the tracer checks its writer
+        already ran; the position maps and bound plans are the same."""
+        L = random_lower(150, 0.06, seed=8)
+        solver = RecursiveBlockSolver(device=TITAN_RTX_SCALED)
+        tmpl = solver.prepare(tracer_matrix(L)).plan
+        checked = PlanRebinder(tmpl, L.nnz, L.data.dtype)
+        verified = PlanRebinder(tmpl, L.nnz, L.data.dtype, verified=True)
+        b = np.random.default_rng(9).standard_normal(L.n_rows)
+        x, _ = checked.bind(L.data).solve(b, TITAN_RTX_SCALED)
+        y, _ = verified.bind(L.data).solve(b, TITAN_RTX_SCALED)
+        assert np.array_equal(x, y)
+        for seg in tmpl.segments:
+            data = getattr(getattr(seg, "matrix", None), "data", None)
+            if data is not None:
+                want = checked._pos_map(data)
+                got = verified._pos_map(data)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_rebinder_rejects_dtype_mismatch(self):
         L = random_lower(40, 0.2, seed=7)
         L32 = replace(L, data=L.data.astype(np.float32), _validated=True)
