@@ -298,6 +298,7 @@ def cmd_fuzz(args) -> int:
     from repro.validate.fuzz import (
         FuzzCase,
         broken_solver,
+        mutation_self_test,
         run_case,
         run_fuzz,
     )
@@ -347,6 +348,23 @@ def cmd_fuzz(args) -> int:
             return 1
         print(report.render())
         print("self-test OK: the harness catches a deliberately broken kernel")
+        # ...and its mutated-after-submit arm catches a service that
+        # digests the admission snapshot but binds the caller's array.
+        report = mutation_self_test(
+            rounds=min(args.rounds, 5),
+            seed=args.seed,
+            families=families,
+            base_size=args.size,
+            tol=args.tol,
+            device=device,
+        )
+        if report.ok:
+            print("SELF-TEST FAILED: a service binding the caller's live "
+                  "values was not caught")
+            return 1
+        print(report.render())
+        print("self-test OK: the mutation arm catches a service that binds "
+              "values changed after submit")
         return 0
 
     report = run_fuzz(

@@ -47,15 +47,18 @@ not, all run one step loop (:meth:`CompiledPlan._execute`), so they are
 bit-identical from the first call.  With an active
 :class:`repro.obs.Observability` that loop emits one ``segment.*`` span,
 profile row, launch count and traffic share per step, tagged with the
-step's device (0 without a schedule); the per-segment simulated reports
-are read from the frozen captures instead of being rebuilt, so a traced
-solve keeps the compiled numerics and pays only for the instrumentation
-itself.  The disabled-obs check remains a single thread-local lookup.
+step's device (0 without a schedule) — recorded as one timestamp per
+step and built into spans and rows when read; the per-segment simulated
+reports are read from the frozen captures instead of being rebuilt, so a
+traced solve keeps the compiled numerics and pays only for the
+instrumentation itself.  The disabled-obs check remains a single thread-local lookup.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +69,7 @@ from repro.kernels.base import PreparedLower, solve_dtype
 from repro.core.plan import ExecutionPlan, TriSegment, run_segment
 from repro.obs import runtime as obs_runtime
 from repro.obs.clock import monotonic
-from repro.obs.trace import Span
+from repro.obs.trace import LeafBlock
 
 __all__ = ["CompiledPlan", "compile_plan"]
 
@@ -697,7 +700,7 @@ class CompiledPlan:
         0 = one vector) into it, runs the steps in ``order``, and
         un-permutes the result.  Returns ``(x, reports, profile)``: the
         per-segment reports are the frozen capture at this width with
-        live steps' reports substituted, and ``profile`` holds the
+        live steps' reports substituted, and ``profile`` builds the
         per-segment rows under an active observability bundle (``None``
         otherwise).  ``schedule`` tags the instrumentation with each
         segment's device; without one every segment runs on device 0.
@@ -743,11 +746,13 @@ class CompiledPlan:
         """Instrumentation constants for one (RHS width, schedule).
 
         Everything a traced solve emits except the wall times and the
-        live steps' reports — span attributes, profile-row templates,
-        per-(kernel, device) launch totals and per-device traffic — is a
-        pure function of the segment layout, the frozen capture at this
-        width and the device assignment, so it is computed once and
-        replayed on every warm observed solve.
+        live steps' reports — span attributes, profile-row templates and
+        the metric additions of a
+        :class:`~repro.obs.runtime.SolveTelemetry` (per-(kernel, device)
+        launch totals, per-device traffic) — is a pure function of the
+        segment layout, the frozen capture at this width and the device
+        assignment, so it is computed once and replayed on every warm
+        observed solve.
         """
         key = (k, id(schedule))
         cached = self._obs_cache.get(key)
@@ -783,10 +788,14 @@ class CompiledPlan:
                    "launches": rep.launches}
             rows.append(("segment." + kind, attrs, row))
             if not isinstance(step, _LiveStep):
+                # (kernel, device): the kernel_launches label key
                 label = (kname, str(dev))
                 launches[label] = launches.get(label, 0) + rep.launches
+        telemetry = obs_runtime.SolveTelemetry(
+            self.plan, schedule, launches, live_b, live_x
+        )
         # the schedule rides along so its id cannot be reused while cached
-        cached = (rows, launches, live_b, live_x, schedule)
+        cached = (rows, telemetry, schedule)
         self._obs_cache[key] = cached
         return cached
 
@@ -797,11 +806,13 @@ class CompiledPlan:
         bundle, one ``segment.*`` leaf span, profile row, launch count
         and traffic share per step, tagged with the step's device.
 
-        The numerics are the bare loop's.  Segment spans are leaves, so
-        they skip the context-manager stack machinery: parent/trace
-        resolved once per solve, spans built from the precomputed attrs
-        (shared read-only dicts) with two clock reads around each step,
-        and handed to the tracer in one batched append.
+        The numerics are the bare loop's.  The loop itself only reads
+        the clock once per step boundary; the solve is then handed to
+        the tracer as one :class:`~repro.obs.trace.LeafBlock` over the
+        precomputed span templates, its metric additions are replayed
+        from the plan's :class:`~repro.obs.runtime.SolveTelemetry`, and
+        the profile rows are returned as a function that builds them
+        when the report's ``profile`` is first read.
         """
         steps = self._steps
         multi = k > 0
@@ -813,42 +824,31 @@ class CompiledPlan:
                 if rep is not None:
                     reports[idx] = rep
             return reports, None
-        rows, launches, live_b, live_x, _ = self._obs_static(k, schedule)
-        inc = obs.serve_metrics.kernel_launches.inc
-        tracer = obs.tracer
-        tid, pid, thread = tracer.leaf_context()
-        next_id = tracer.next_span_id
-        profile: list[dict] = []
-        leaves: list[Span] = []
+        rows, telemetry, _ = self._obs_static(k, schedule)
+        now = monotonic
+        ts = array("d", (now(),))
+        tick = ts.append
+        live = None
         for idx in order:
-            span_name, attrs, row = rows[idx]
-            t0 = monotonic()
             rep = steps[idx].run(work, out, scratch, multi)
-            t1 = monotonic()
-            row = dict(row)
+            tick(now())
             if rep is not None:
                 reports[idx] = rep
-                attrs = dict(attrs, sim_time_s=rep.time_s)
-                row.update(sim_time_s=rep.time_s, launches=rep.launches)
-                inc(rep.launches, kernel=attrs["kernel"],
-                    device=str(attrs["device"]))
-            row["wall_time_s"] = t1 - t0
-            leaves.append(
-                Span(span_name, tid, next_id(), pid, t0, t1, thread, attrs)
-            )
-            profile.append(row)
-        tracer.record_leaves(leaves)
-        for (kname, dev), n in launches.items():
-            inc(n, kernel=kname, device=dev)
-        if schedule is None:
-            obs_runtime.record_solve_traffic(
-                obs, self.plan, live_b[0], live_x[0]
-            )
-        else:
-            obs_runtime.record_dist_solve(
-                obs, self.plan, schedule, live_b, live_x
-            )
-        return reports, profile
+                if live is None:
+                    live = {}
+                live[idx] = rep
+        live_attrs = live_launches = None
+        if live is not None:
+            live_attrs, live_launches = {}, []
+            for idx, rep in live.items():
+                attrs = rows[idx][1]
+                live_attrs[idx] = dict(attrs, sim_time_s=rep.time_s)
+                live_launches.append(
+                    ((attrs["kernel"], str(attrs["device"])), rep.launches)
+                )
+        obs.tracer.record_block(LeafBlock(rows, order, ts, live_attrs))
+        telemetry.publish(obs.serve_metrics, live_launches)
+        return reports, partial(_profile_rows, rows, order, ts, live)
 
     # -- entry points -------------------------------------------------- #
     def _check_b(self, b) -> np.ndarray:
@@ -899,6 +899,20 @@ class CompiledPlan:
         self._check_order(order)
         B = self._check_B(B)
         return self._execute(B, B.shape[1], order)[0]
+
+
+def _profile_rows(rows, order, ts, live) -> list[dict]:
+    """The per-segment profile of one traced solve, in execution order
+    (see :attr:`repro.gpu.report.SolveReport.profile`)."""
+    out = []
+    for pos, idx in enumerate(order):
+        row = dict(rows[idx][2])
+        rep = live.get(idx) if live is not None else None
+        if rep is not None:
+            row.update(sim_time_s=rep.time_s, launches=rep.launches)
+        row["wall_time_s"] = ts[pos + 1] - ts[pos]
+        out.append(row)
+    return out
 
 
 def compile_plan(plan: ExecutionPlan, device: DeviceModel, *,

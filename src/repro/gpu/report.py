@@ -50,6 +50,8 @@ class SolveReport:
     #: rows, nnz, sim_time_s, wall_time_s, launches) — populated only
     #: when an :class:`repro.obs.Observability` was active during the
     #: solve; empty otherwise.  See ``repro.analysis.inspect.render_profile``.
+    #: A traced solve stores a function that builds the rows; they are
+    #: built on first read (the property installed below the class).
     profile: list = field(default_factory=list)
 
     @property
@@ -80,8 +82,28 @@ class SolveReport:
             bytes_moved=self.bytes_moved * factor,
             kernels=list(self.kernels),
             detail=merged,
-            profile=list(self.profile),
+            profile=(
+                self._profile if callable(self._profile)
+                else list(self._profile)
+            ),
         )
+
+
+def _get_profile(self: SolveReport) -> list:
+    rows = self._profile
+    if callable(rows):
+        rows = self._profile = rows()
+    return rows
+
+
+def _set_profile(self: SolveReport, rows) -> None:
+    self._profile = rows
+
+
+# A dataclass field with a default_factory leaves no class attribute, so
+# the field can be backed by a property: __init__, ==, repr and replace
+# all go through it and see a plain list.
+SolveReport.profile = property(_get_profile, _set_profile)
 
 
 def merge_reports(method: str, reports: list[KernelReport], **detail) -> SolveReport:

@@ -4,17 +4,27 @@ The serving layer's whole economy rests on recognizing "the same matrix
 again" cheaply and safely: Table 5 shows preprocessing costs ~5-10x one
 solve, so a repeated fingerprint means the expensive phase can be
 skipped entirely.  We hash the full structural and numerical content
-(shape + indptr/indices/data bytes, dtypes included) with BLAKE2b —
-a false positive would silently reuse the wrong plan, so no sampling
-shortcuts.
+(shape, indptr/indices/data bytes, dtypes and lengths included) with
+SHA-256 — a false positive would silently reuse the wrong plan, and a
+tenant could craft one against a weak hash, so no sampling shortcuts
+and no truncation below 256 bits.  SHA-256 runs at about twice
+BLAKE2b's speed on CPUs with SHA extensions, and each array is hashed
+exactly once, straight from its buffer (no ``tobytes`` copy).
 
 The fingerprint is two-level: the paper's block algorithms (§3.1-3.4)
 plan entirely off the sparsity *structure*, so :func:`structure_fingerprint`
-covers shape + indptr + indices + triangle orientation (everything the
-planner reads), while :func:`values_fingerprint` covers only the ``data``
-array.  :func:`matrix_fingerprint` remains the full-content digest and is
-byte-identical to what it produced before the split, so replay tokens,
-golden fixtures, and BENCH baselines stay valid.
+covers shape + indptr + indices (everything the planner reads), while
+:func:`values_fingerprint` covers only the ``data`` array.
+:func:`matrix_fingerprint`, the full-content digest that keys request
+coalescing and ``RequestRecord.fingerprint``, is derived from those two
+digests without reading the arrays again.
+
+The structure digest carries no triangle-orientation tag: ``indptr`` and
+``indices`` already determine whether a pattern is lower, upper or
+general, so a lower pattern and its upper mirror still get different
+digests, and the orientation scan only has to run when a pattern is
+built.  Digest values changed with this scheme (earlier releases used
+BLAKE2b-128 with the tag), which is why the plan store moved to format 4.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from typing import Any, Hashable, Mapping
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.formats.triangular import triangle_orientation
 from repro.gpu.device import DeviceModel
 
 __all__ = [
@@ -38,89 +47,53 @@ __all__ = [
 ]
 
 
-def _update_array(h, arr: np.ndarray) -> None:
-    h.update(str(arr.dtype).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+def structure_fingerprint(A: CSRMatrix) -> str:
+    """A 256-bit hex digest of the sparsity *pattern* only.
 
-
-def _triangle_tag(A: CSRMatrix, orientation: str | None = None) -> bytes:
-    # One structural pass via triangle_orientation; callers on the
-    # request hot path (the serve layer) compute the orientation once
-    # per request and pass it through instead of re-scanning O(nnz)
-    # here — the old per-call is_lower/is_upper probes scanned the
-    # index array up to twice per fingerprint, on top of the service's
-    # own orientation checks.  Measured (best-of-200, mixed_workload
-    # scale=0.1): passing a precomputed orientation cuts fingerprints()
-    # from 1394-2600us to 1246-2364us on the 40k-83k nnz matrices
-    # (8-12%), and the orientation scan itself (93-165us) now runs
-    # exactly once per request instead of up to three times.
-    return (orientation or triangle_orientation(A)).encode()
-
-
-def fingerprints(
-    A: CSRMatrix, *, orientation: str | None = None
-) -> tuple[str, str, str]:
-    """``(full, structure, values)`` digests in one pass over the matrix.
-
-    The full digest equals :func:`matrix_fingerprint`; the structure
-    digest covers shape + indptr + indices + triangle orientation; the
-    values digest covers only the ``data`` array.  Computing all three
-    together shares the shape/indptr/indices hashing work.
-    ``orientation`` (``"L"``/``"U"``/``"G"``, from
-    :func:`repro.formats.triangular.triangle_orientation`) skips the
-    structure scan when the caller already knows it.
+    Covers shape, indptr and indices, each with its dtype and length —
+    everything the planners read.  Two matrices with the same pattern
+    but different values share this digest; a lower-triangular pattern
+    and its upper mirror do not (their index arrays differ).
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{A.n_rows}x{A.n_cols}".encode())
-    _update_array(h, A.indptr)
-    _update_array(h, A.indices)
-    hs = h.copy()  # structure branch: everything but the values
-    _update_array(h, A.data)
-    hs.update(_triangle_tag(A, orientation))
-    hv = hashlib.blake2b(digest_size=16)
-    _update_array(hv, A.data)
-    return h.hexdigest(), hs.hexdigest(), hv.hexdigest()
-
-
-def matrix_fingerprint(A: CSRMatrix) -> str:
-    """A 128-bit hex digest of the matrix's exact content.
-
-    Thin composition over the same hashing pass as :func:`fingerprints`
-    — the output string is unchanged from before the structure/values
-    split.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{A.n_rows}x{A.n_cols}".encode())
-    _update_array(h, A.indptr)
-    _update_array(h, A.indices)
-    _update_array(h, A.data)
-    return h.hexdigest()
-
-
-def structure_fingerprint(
-    A: CSRMatrix, *, orientation: str | None = None
-) -> str:
-    """A 128-bit hex digest of the sparsity *pattern* only.
-
-    Covers shape, indptr, indices (dtypes included) and the triangle
-    orientation tag — everything the planners read.  Two matrices with
-    the same pattern but different values share this digest; a
-    lower-triangular pattern and its upper mirror do not.
-    ``orientation`` skips the structure scan when already known.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{A.n_rows}x{A.n_cols}".encode())
-    _update_array(h, A.indptr)
-    _update_array(h, A.indices)
-    h.update(_triangle_tag(A, orientation))
+    indptr, indices = A.indptr, A.indices
+    h = hashlib.sha256(
+        f"{A.n_rows}x{A.n_cols}|{indptr.dtype.str}{indptr.size}"
+        f"|{indices.dtype.str}{indices.size}".encode()
+    )
+    h.update(np.ascontiguousarray(indptr))
+    h.update(np.ascontiguousarray(indices))
     return h.hexdigest()
 
 
 def values_fingerprint(A: CSRMatrix) -> str:
-    """A 128-bit hex digest of the ``data`` array only (dtype included)."""
-    h = hashlib.blake2b(digest_size=16)
-    _update_array(h, A.data)
+    """A 256-bit hex digest of the ``data`` array only (dtype and length
+    included)."""
+    data = A.data
+    h = hashlib.sha256(f"{data.dtype.str}{data.size}".encode())
+    h.update(np.ascontiguousarray(data))
     return h.hexdigest()
+
+
+def _full_digest(structure_fp: str, values_fp: str) -> str:
+    return hashlib.sha256(f"{structure_fp}|{values_fp}".encode()).hexdigest()
+
+
+def fingerprints(A: CSRMatrix) -> tuple[str, str, str]:
+    """``(full, structure, values)`` digests, each array hashed once.
+
+    The structure digest is :func:`structure_fingerprint`, the values
+    digest :func:`values_fingerprint`, and the full digest — equal to
+    :func:`matrix_fingerprint` — is a hash of those two.
+    """
+    sfp = structure_fingerprint(A)
+    vfp = values_fingerprint(A)
+    return _full_digest(sfp, vfp), sfp, vfp
+
+
+def matrix_fingerprint(A: CSRMatrix) -> str:
+    """A 256-bit hex digest of the matrix's exact content: the first
+    element of :func:`fingerprints`."""
+    return fingerprints(A)[0]
 
 
 def _canon_value(v: Any) -> Hashable:
@@ -212,7 +185,7 @@ def structure_key(
     return (
         "structure",
         structure_fp,
-        str(values_dtype),
+        None if values_dtype is None else np.dtype(values_dtype).str,
         method,
         device.name,
         _canon_options(options),

@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import IngressShedError, ServiceClosedError
 from repro.formats.csr import CSRMatrix
 from repro.obs.clock import monotonic
-from repro.serve.service import ServiceTimeoutError, SolveService
+from repro.serve.service import ServiceTimeoutError, SolveService, _snapshot
 
 __all__ = [
     "DEFAULT_CLASSES",
@@ -404,6 +404,12 @@ class AsyncSolveService:
     ):
         """Admit one request and await its :class:`SolveResult`.
 
+        ``A``'s arrays are copied when the request is admitted to a
+        queue, so nothing the caller does to them afterwards changes
+        what is digested and solved; ``b`` is copied when the request
+        is handed to the backend.  Both are free for reuse once this
+        returns.
+
         Raises :class:`IngressShedError` when the request is shed (at
         admission, by fairness eviction, on in-queue deadline expiry, or
         at shutdown), :class:`ServiceTimeoutError` when the deadline
@@ -439,6 +445,10 @@ class AsyncSolveService:
                     )
 
         self._seq += 1
+        try:
+            A = _snapshot(A)
+        except Exception:  # noqa: BLE001 - fails in the backend, counted
+            pass
         pending = _Pending(
             A, b, method=method, tenant=tenant, klass=klass,
             deadline=deadline,

@@ -31,6 +31,12 @@ Writes are crash-safe (temp file + atomic rename within the store
 directory) and, through :meth:`PlanStore.put`, encoded synchronously but
 flushed to disk by a background writer thread so the building request
 does not wait on the filesystem.
+
+The current layout is format 4: the same container as format 3, keyed
+by the SHA-256 structure digests of :mod:`repro.serve.fingerprint` and
+``dtype.str`` value dtypes.  Entries written at format 3 sit under file
+names no request produces any more; ``repro store gc`` removes them as
+stale.
 """
 
 from __future__ import annotations
@@ -70,8 +76,11 @@ MAGIC = b"RPS1"
 #: bumped whenever the container layout or the payload schema changes;
 #: old entries then deserialize as clean misses, never as garbage plans
 #: (3: no template engine decisions, SHA-256 payload checksum,
-#: out-of-band array buffers)
-FORMAT_VERSION = 3
+#: out-of-band array buffers; 4: entries keyed by the SHA-256 structure
+#: digests and ``dtype.str`` of :mod:`repro.serve.fingerprint` — format-3
+#: files sit under names no request produces any more, so ``gc`` drops
+#: them as stale)
+FORMAT_VERSION = 4
 #: array buffers start at multiples of this many bytes from the start of
 #: the entry (the header JSON is padded with spaces to one)
 _ALIGN = 64

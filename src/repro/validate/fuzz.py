@@ -10,7 +10,9 @@ mirror them to upper-triangular form or attach a multi-RHS block or an
 integer right-hand side, run every registered method — and the
 :class:`~repro.serve.SolveService` path — and cross-check each solution
 against :func:`repro.kernels.sptrsv_serial.solve_serial` plus the
-residual ``‖A x − b‖``.
+residual ``‖A x − b‖``.  One service arm mutates the caller's matrix
+after ``submit`` and checks that neither that request nor a later clean
+one sees the new values.
 
 Failures are *minimized* (shrink the system, drop the RHS block, drop
 the mirror) and reported with a self-contained reproduction command, so
@@ -55,6 +57,7 @@ __all__ = [
     "broken_solver",
     "BrokenSignFlipSolver",
     "BROKEN_METHOD",
+    "mutation_self_test",
 ]
 
 #: salt mixed into every case seed so fuzz streams don't collide with
@@ -284,7 +287,8 @@ class FuzzFailure:
     case: FuzzCase
     method: str
     kind: str  # "mismatch" | "residual" | "invariant" | "exception" | "dtype"
-    via: str = "direct"  # "direct" | "service" | "compiled" | "dist" | "fused"
+    #: "direct" | "service" | "compiled" | "dist" | "fused" | "mutated"
+    via: str = "direct"
     message: str = ""
     max_err: float | None = None
     minimized: FuzzCase | None = None
@@ -539,6 +543,67 @@ def _fused_solve(
     return failures
 
 
+def _mutated_solve(
+    case: "FuzzCase",
+    A,
+    b: np.ndarray,
+    method: str,
+    device: DeviceModel,
+    ctol: float,
+    service_cls=None,
+) -> list["FuzzFailure"]:
+    """Mutate the caller's matrix after ``submit``, then check that
+    request and a later equal-content clean one against the oracle.
+
+    The mutation doubles the caller's values from inside the cold build
+    — after the request was admitted and digested, before its values
+    are bound — the deterministic form of a caller reusing its buffer
+    while the request is in flight.  A service that solves the bytes it
+    digested answers both requests for the original values; one that
+    binds the caller's live array caches the doubled values under the
+    original digest and answers both wrongly.
+    """
+    from repro.formats.csr import CSRMatrix
+    from repro.serve.service import SolveService
+    from repro.validate.faults import FaultInjector
+
+    clean = CSRMatrix(
+        A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(), A.data.copy()
+    )
+    caller = CSRMatrix(
+        A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(), A.data.copy()
+    )
+    x_ref = _reference_solve(clean, b)
+
+    class _MutateAfterSubmit(FaultInjector):
+        def before_build(self, method_name: str) -> None:
+            super().before_build(method_name)
+            if self.builds_seen == 1:
+                caller.data *= 2
+
+    failures: list[FuzzFailure] = []
+    with (service_cls or SolveService)(
+        device=device, method=method, cache_capacity=4, max_workers=2,
+        fault_injector=_MutateAfterSubmit(),
+    ) as svc:
+        first = svc.submit(caller, b).result()[0]
+        later = svc.solve(clean, b)
+    for label, res in (("the mutated request", first),
+                       ("a later clean request", later)):
+        agree, err = _compare(res.x, x_ref, ctol)
+        if not agree:
+            failures.append(FuzzFailure(
+                case=case, method=method, kind="mismatch", via="mutated",
+                max_err=err,
+                message=(
+                    f"{label} deviates from the serial reference by "
+                    f"{err:.3e} after the caller's values changed "
+                    "post-submit"
+                ),
+            ))
+    return failures
+
+
 def _compare(x, x_ref: np.ndarray, tol: float) -> tuple[bool, float]:
     x = np.asarray(x, dtype=np.float64)
     err = float(np.max(np.abs(x - x_ref))) if x_ref.size else 0.0
@@ -568,6 +633,9 @@ def run_case(
     dist_method: str | None = None,
     check_fused: bool = True,
     fused_method: str | None = None,
+    check_mutation: bool = True,
+    mutation_method: str | None = None,
+    mutation_service=None,
 ) -> list[FuzzFailure]:
     """Differentially test one case; returns the (possibly empty) failures.
 
@@ -593,6 +661,12 @@ def run_case(
     batch (with ``fused_method``, default the first method), checking
     each fused result against the oracle and — bit for bit — against
     the same service's per-request solve.
+
+    ``check_mutation`` additionally submits the case to a fresh
+    service (``mutation_service``, default :class:`SolveService`, with
+    ``mutation_method``, default the first method), doubles the caller's
+    values after admission, and checks that request and a later clean
+    copy against the oracle (see :func:`_mutated_solve`).
     """
     A, b = case.build()
     x_ref = _reference_solve(A, b)
@@ -704,6 +778,17 @@ def run_case(
                 case=case, method=fmethod, kind="exception", via="fused",
                 message=f"{type(exc).__name__}: {exc}",
             ))
+    if check_mutation and methods:
+        mmethod = mutation_method or methods[0]
+        try:
+            failures.extend(_mutated_solve(
+                case, A, b, mmethod, device, ctol, mutation_service
+            ))
+        except Exception as exc:  # noqa: BLE001 - any crash is a finding
+            failures.append(FuzzFailure(
+                case=case, method=mmethod, kind="exception", via="mutated",
+                message=f"{type(exc).__name__}: {exc}",
+            ))
     if service is not None:
         smethod = service_method or methods[0]
         try:
@@ -749,6 +834,7 @@ def minimize_failure(
                 check_compiled=(failure.via == "compiled"),
                 check_dist=(failure.via == "dist"),
                 check_fused=(failure.via == "fused"),
+                check_mutation=(failure.via == "mutated"),
             ))
         except Exception:  # noqa: BLE001 - a crash still reproduces a bug
             return True
@@ -834,7 +920,7 @@ def run_fuzz(
         for r in range(rounds):
             case = sample_case(seed, r, families, base_size)
             report.n_cases += 1
-            report.n_checks += len(methods) + (1 if service else 0) + 3
+            report.n_checks += len(methods) + (1 if service else 0) + 4
             failures = run_case(
                 case,
                 methods,
@@ -845,6 +931,7 @@ def run_fuzz(
                 compiled_method=methods[r % len(methods)],
                 dist_method=methods[r % len(methods)],
                 fused_method=methods[r % len(methods)],
+                mutation_method=methods[r % len(methods)],
             )
             if failures and log:
                 log(f"round {r}: {len(failures)} failure(s) on {case.token()}")
@@ -858,10 +945,11 @@ def run_fuzz(
             service.close()
     if minimize:
         for f in report.failures:
-            # Direct, compiled, dist, and fused failures are pure
-            # functions of the case (fused uses a fresh service per
-            # check); shared-service failures depend on service state.
-            if f.via in ("direct", "compiled", "dist", "fused"):
+            # Direct, compiled, dist, fused and mutated failures are
+            # pure functions of the case (fused and mutated use a fresh
+            # service per check); shared-service failures depend on
+            # service state.
+            if f.via in ("direct", "compiled", "dist", "fused", "mutated"):
                 f.minimized = minimize_failure(f, device, tol)
     report.elapsed_s = monotonic() - t0
     return report
@@ -911,3 +999,55 @@ def broken_solver(name: str = BROKEN_METHOD):
         yield name
     finally:
         unregister_solver(name)
+
+
+# --------------------------------------------------------------------- #
+# A service that binds the caller's live values (mutation arm self-test)
+# --------------------------------------------------------------------- #
+def _live_bind_service():
+    """A :class:`SolveService` that digests each request's admission
+    snapshot but binds the caller's live arrays — the digest-then-bind
+    race that snapshotting at admission closes."""
+    from repro.serve.service import SolveService
+
+    class LiveBindService(SolveService):
+        def submit(self, A, b, **kwargs):
+            self._live = A
+            return super().submit(A, b, **kwargs)
+
+        def _build_overlay(self, pattern, A, vfp, **kwargs):
+            return super()._build_overlay(pattern, self._live, vfp, **kwargs)
+
+    return LiveBindService
+
+
+def mutation_self_test(
+    rounds: int = 3,
+    seed: int = 0,
+    *,
+    method: str = "levelset",
+    families: list[str] | None = None,
+    base_size: int = 140,
+    tol: float = DEFAULT_RESIDUAL_TOL,
+    device: DeviceModel = TITAN_RTX_SCALED,
+) -> FuzzReport:
+    """Run only the mutated-after-submit arm against a service that binds
+    the caller's live values; a harness that can catch the race reports
+    failures here (``repro fuzz --self-test`` requires it)."""
+    t0 = monotonic()
+    families = list(families) if families is not None else list(FAMILIES)
+    report = FuzzReport(
+        rounds=rounds, seed=seed, methods=[method], families=families
+    )
+    stand_in = _live_bind_service()
+    for r in range(rounds):
+        case = sample_case(seed, r, families, base_size)
+        report.n_cases += 1
+        report.n_checks += 1
+        report.failures.extend(run_case(
+            case, [method], device, tol,
+            check_compiled=False, check_dist=False, check_fused=False,
+            mutation_service=stand_in,
+        ))
+    report.elapsed_s = monotonic() - t0
+    return report

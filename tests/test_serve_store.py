@@ -201,8 +201,27 @@ class TestCorruptionDegradesToMiss:
         entry.write_bytes(old)
         self._assert_cold_rebuild(path, mats, xs, mismatched=1)
         header, _ = decode_entry(entry.read_bytes())  # checksum verified
-        assert header["format_version"] == FORMAT_VERSION == 3
+        assert header["format_version"] == FORMAT_VERSION == 4
         assert "payload_blake2b" not in header
+
+    def test_format_3_entry_is_never_served_and_gc_drops_it(self, warm):
+        """Format 3 named entries after BLAKE2b structure digests and
+        ``str(dtype)`` keys, so its files sit under names no request
+        produces any more; a format-3 header under a current name is a
+        counted mismatch.  Neither is ever served, and ``gc`` removes
+        both kinds as stale."""
+        path, mats, xs, entry = warm
+        old = _rewrite_header(entry.read_bytes(), format_version=3)
+        stale = entry.with_name("0" * 32 + ".plan")  # an old-scheme name
+        stale.write_bytes(old)
+        entry.write_bytes(old)
+        self._assert_cold_rebuild(path, mats, xs, mismatched=1)
+        assert read_header(entry.read_bytes())["format_version"] == 4
+        store = PlanStore(path)
+        summary = store.gc()
+        store.close()
+        assert summary["removed"] == 1 and summary["reasons"] == {"version": 1}
+        assert not stale.exists() and entry.exists()
 
     def test_bit_flipped_payload_quarantined(self, warm):
         """One flipped payload bit fails the SHA-256 check: the lookup
