@@ -5,7 +5,10 @@ per-segment profiles, stats percentiles, and the CLI commands."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from concurrent.futures import wait
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.core.solver import SOLVERS
 from repro.gpu.device import TITAN_RTX_SCALED
 from repro.matrices.generators import banded_random
 from repro.obs import Tracer
-from repro.obs.runtime import record_solve_traffic
+from repro.obs.runtime import SolveTelemetry, record_solve_traffic
 from repro.serve import ServiceConfig, SolveService
 from repro.serve.stats import percentile
 
@@ -260,3 +263,80 @@ def test_cli_stats_prints_snapshot_and_metrics(capsys):
     assert "p50/95/99" in out
     assert "# TYPE repro_requests_total counter" in out
     assert 'repro_requests_total{status="ok",tenant="default"} 6' in out
+
+
+def _telemetry(measured: tuple) -> SolveTelemetry:
+    """A single-device plan of method ``m`` whose Table 1-2 accounting
+    reads ``measured`` (its cached traffic stands in for the plan)."""
+    plan = SimpleNamespace(method="m", _traffic_cache=(measured, measured))
+    return SolveTelemetry(plan, None, None, measured[:1], measured[1:])
+
+
+def _measured(m) -> tuple:
+    return (
+        m.traffic_measured.value(method="m", table="b_writes"),
+        m.traffic_measured.value(method="m", table="x_loads"),
+    )
+
+
+class _ParkingLock:
+    """A gauge lock that parks the thread named ``parked`` until
+    released, between its plan's counter and gauge writes."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread().name == "parked":
+            self.parked.set()
+            assert self.release.wait(10)
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestTelemetryGauges:
+    """The traffic gauges hold the values of the most recent publish."""
+
+    def test_publish_alone_after_an_interleaved_one_sets_its_gauges(self):
+        m = Observability().serve_metrics
+        p1, p2 = _telemetry((10, 20)), _telemetry((30, 40))
+        gate = m.traffic_measured._lock = _ParkingLock()
+        slow = threading.Thread(target=p1.publish, args=(m,), name="parked")
+        slow.start()
+        assert gate.parked.wait(10)
+        p2.publish(m)          # all of p2's publish, inside p1's
+        gate.release.set()
+        slow.join(10)
+        assert not slow.is_alive()
+        assert _measured(m) == (10, 20)
+        p2.publish(m)
+        assert _measured(m) == (30, 40)
+        assert m.solves_total.value(method="m") == 3
+
+    def test_alternating_publishers_then_one_alone(self):
+        m = Observability().serve_metrics
+        plans = [_telemetry((10, 20)), _telemetry((30, 40))]
+
+        def publish(plan):
+            for _ in range(300):
+                plan.publish(m)
+
+        threads = [threading.Thread(target=publish, args=(p,)) for p in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for last in (plans[1], plans[0], plans[1]):
+            last.publish(m)
+            assert _measured(m) == ((30, 40) if last is plans[1] else (10, 20))
+        assert m.solves_total.value(method="m") == 603

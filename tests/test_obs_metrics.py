@@ -11,6 +11,7 @@ import pytest
 from repro.errors import DuplicateMetricError
 from repro.obs import MetricsRegistry, to_prometheus
 from repro.obs.export import metrics_to_dict
+from repro.obs.metrics import inc_counters
 
 
 def test_counter_basics_and_labels():
@@ -28,6 +29,36 @@ def test_counter_basics_and_labels():
         c.inc(result="hit", extra="x")
     with pytest.raises(ValueError):
         c.inc()  # missing the declared label
+
+
+def test_key_methods_share_the_labelled_methods_checks():
+    reg = MetricsRegistry()
+    c = reg.counter("hits_total", "hits", labelnames=("result",))
+    key = c.key(result="hit")
+    c.inc_key(key, 2)
+    c.inc(result="hit")
+    assert c.value(result="hit") == 3.0
+    with pytest.raises(ValueError):
+        c.inc_key(key, -1)
+    assert c.value(result="hit") == 3.0
+    g = reg.gauge("depth", labelnames=("queue",))
+    g.set_key(g.key(queue="a"), 4)
+    g.set(5, queue="b")
+    assert (g.value(queue="a"), g.value(queue="b")) == (4.0, 5.0)
+
+
+def test_inc_counters_requires_the_counters_own_lock():
+    reg = MetricsRegistry()
+    shared = threading.Lock()
+    a = reg.counter("a_total", labelnames=("k",), lock=shared)
+    b = reg.counter("b_total", labelnames=("k",), lock=shared)
+    inc_counters(shared, [(a, [(("x",), 1)]), (b, [(("y",), 2)])])
+    assert (a.value(k="x"), b.value(k="y")) == (1.0, 2.0)
+    own = reg.counter("own_total", labelnames=("k",))
+    with pytest.raises(ValueError, match="own_total"):
+        inc_counters(shared, [(a, [(("x",), 1)]), (own, [(("z",), 1)])])
+    # nothing is added when any counter is guarded by another lock
+    assert (a.value(k="x"), own.value(k="z")) == (1.0, 0.0)
 
 
 def test_gauge_set_and_inc():
