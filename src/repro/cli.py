@@ -348,7 +348,7 @@ def cmd_fuzz(args) -> int:
             return 1
         print(report.render())
         print("self-test OK: the harness catches a deliberately broken kernel")
-        # ...and its mutated-after-submit arm catches a service that
+        # ...and its mutated-after-admission arm catches a service that
         # digests the admission snapshot but binds the caller's array.
         report = mutation_self_test(
             rounds=min(args.rounds, 5),
@@ -364,7 +364,7 @@ def cmd_fuzz(args) -> int:
             return 1
         print(report.render())
         print("self-test OK: the mutation arm catches a service that binds "
-              "values changed after submit")
+              "values changed after submit or solve admitted them")
         return 0
 
     report = run_fuzz(

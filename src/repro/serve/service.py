@@ -19,8 +19,11 @@ economy behind one object:
   ``solve_multi`` call, and same-*pattern* requests are bucketed into
   one fused structural batch that runs all values-groups over the
   shared pattern plan (continuous batching for SpTRSV);
-* independent buckets run concurrently on a thread pool behind a
-  bounded admission queue, with per-request deadlines;
+* a synchronous :meth:`SolveService.solve` runs on the caller's own
+  thread; ``submit``, ``solve_batch`` and the async ingress hand their
+  buckets to a thread pool, where independent buckets run concurrently;
+  both paths sit behind one bounded admission queue, with per-request
+  deadlines;
 * a planner failure degrades gracefully to the level-set baseline and
   is recorded as a fallback;
 * every request emits a :class:`RequestRecord`; :meth:`SolveService.stats`
@@ -100,7 +103,9 @@ class ServiceConfig:
     device: DeviceModel = TITAN_RTX_SCALED
     #: LRU capacity of the prepared-plan cache (patterns, not bytes)
     cache_capacity: int = 32
-    #: worker threads executing requests
+    #: worker threads of the pool that runs ``submit``, ``solve_batch``
+    #: and async-ingress requests; a synchronous ``solve`` runs on its
+    #: caller's thread and takes no worker (``queue_limit`` bounds both)
     max_workers: int = 4
     #: bound on admitted-but-unfinished requests (backpressure)
     queue_limit: int = 256
@@ -490,6 +495,11 @@ class SolveService:
         self._rejected = 0
         self._rejected_by_tenant: dict[str, int] = {}
         self._closed = False
+        # Synchronous solves running on their callers' threads: close()
+        # waits for this count to reach zero, as the pool's shutdown
+        # waits for its workers.
+        self._callers = 0
+        self._callers_cv = threading.Condition(threading.Lock())
         self._fault_injector = fault_injector
         self._obs = cfg.obs
 
@@ -526,9 +536,16 @@ class SolveService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Finish in-flight requests and reject new ones."""
-        self._closed = True
+        """Finish in-flight requests and reject new ones.
+
+        Pool work and the synchronous solves running on their callers'
+        threads both finish before the store closes, so every plan an
+        in-flight request builds still reaches the store."""
+        with self._callers_cv:
+            self._closed = True
         self._pool.shutdown(wait=True)
+        with self._callers_cv:
+            self._callers_cv.wait_for(lambda: not self._callers)
         if self.store is not None:
             if self._owns_store:
                 self.store.close()  # flushes queued write-backs
@@ -619,19 +636,7 @@ class SolveService:
         """
         if self._closed:
             raise ServiceClosedError("service has been shut down")
-        self._admit([tenant])
-        rid = self._take_ids(1)[0]
-        deadline = self._deadline(timeout_s)
-        job = _GroupJob(
-            rids=[rid], A=A, bs=[], method=method,
-            tenant=tenant, positions=[0],
-        )
-        try:
-            job.A = _snapshot(A)
-            job.bs.append(np.array(b))
-        except Exception as exc:  # noqa: BLE001 - failed in the worker
-            job.error = exc
-            job.bs = [np.asarray(b)]
+        job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
         try:
             return self._pool.submit(
                 self._run_bucket_task, [job], deadline, monotonic(), True
@@ -649,10 +654,56 @@ class SolveService:
         timeout_s: float | None = None,
         tenant: str = "default",
     ) -> SolveResult:
-        """Synchronous single solve through the full service path."""
-        return self.submit(
-            A, b, method=method, timeout_s=timeout_s, tenant=tenant
-        ).result()[0]
+        """Synchronous single solve through the full service path.
+
+        The request runs on the calling thread: it is admitted and
+        copied as :meth:`submit` does, then solved right here, with no
+        pool hand-off.  Its spans record the caller's thread name, and a
+        solve made inside an open span of the service's own tracer nests
+        its ``serve.request`` span under that span (same trace id); with
+        no span open it starts its own trace, as a pool request does.
+        """
+        with self._callers_cv:
+            if self._closed:
+                raise ServiceClosedError("service has been shut down")
+            self._callers += 1
+        try:
+            job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
+            results, _ = self._run_bucket_task(
+                [job], deadline, monotonic(), False
+            )
+            return results[0]
+        finally:
+            with self._callers_cv:
+                self._callers -= 1
+                if not self._callers:
+                    self._callers_cv.notify_all()
+
+    def _admit_one(
+        self,
+        A: CSRMatrix,
+        b: np.ndarray,
+        method: str | None,
+        timeout_s: float | None,
+        tenant: str,
+    ) -> tuple[_GroupJob, float | None]:
+        """Admit one request and take its snapshot; a matrix whose
+        arrays cannot be copied consistently becomes the job's error,
+        raised where the job runs."""
+        self._admit([tenant])
+        rid = self._take_ids(1)[0]
+        deadline = self._deadline(timeout_s)
+        job = _GroupJob(
+            rids=[rid], A=A, bs=[], method=method,
+            tenant=tenant, positions=[0],
+        )
+        try:
+            job.A = _snapshot(A)
+            job.bs.append(np.array(b))
+        except Exception as exc:  # noqa: BLE001 - raised where the job runs
+            job.error = exc
+            job.bs = [np.asarray(b)]
+        return job, deadline
 
     def solve_batch(
         self,
@@ -769,7 +820,7 @@ class SolveService:
         return BatchResult(out, infos, monotonic() - t_batch)
 
     # ------------------------------------------------------------------ #
-    # Execution (worker threads)
+    # Execution (pool workers and synchronous callers)
     # ------------------------------------------------------------------ #
     def _record(self, rec: RequestRecord) -> None:
         with self._records_lock:
@@ -1199,9 +1250,10 @@ class SolveService:
         submitted_at: float | None,
         as_batch: bool,
     ):
-        """Worker-thread entry for one structural bucket: activate
-        observability (when configured), run every values-group over the
-        shared pattern plan, then release admissions for the bucket."""
+        """Entry for one structural bucket, on a pool worker or a
+        synchronous caller's thread: activate observability (when
+        configured), run every values-group over the shared pattern
+        plan, then release admissions for the bucket."""
         t0 = monotonic()
         total = sum(len(j.rids) for j in jobs)
         fused = len(jobs) > 1

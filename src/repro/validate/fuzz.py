@@ -11,8 +11,8 @@ integer right-hand side, run every registered method — and the
 :class:`~repro.serve.SolveService` path — and cross-check each solution
 against :func:`repro.kernels.sptrsv_serial.solve_serial` plus the
 residual ``‖A x − b‖``.  One service arm mutates the caller's matrix
-after ``submit`` and checks that neither that request nor a later clean
-one sees the new values.
+after ``submit`` or ``solve`` admitted it and checks that neither that
+request nor a later clean one sees the new values.
 
 Failures are *minimized* (shrink the system, drop the RHS block, drop
 the mirror) and reported with a self-contained reproduction command, so
@@ -552,55 +552,60 @@ def _mutated_solve(
     ctol: float,
     service_cls=None,
 ) -> list["FuzzFailure"]:
-    """Mutate the caller's matrix after ``submit``, then check that
+    """Mutate the caller's matrix after admission, then check that
     request and a later equal-content clean one against the oracle.
 
-    The mutation doubles the caller's values from inside the cold build
-    — after the request was admitted and digested, before its values
-    are bound — the deterministic form of a caller reusing its buffer
-    while the request is in flight.  A service that solves the bytes it
-    digested answers both requests for the original values; one that
-    binds the caller's live array caches the doubled values under the
-    original digest and answers both wrongly.
+    The mutated request goes through each single-request front door in
+    turn — ``submit`` (solved on the pool) and ``solve`` (solved on the
+    calling thread) — each on a fresh service.  The mutation doubles the
+    caller's values from inside the cold build — after the request was
+    admitted and digested, before its values are bound — the
+    deterministic form of a caller reusing its buffer while the request
+    is in flight.  A service that solves the bytes it digested answers
+    both requests for the original values; one that binds the caller's
+    live array caches the doubled values under the original digest and
+    answers both wrongly.
     """
-    from repro.formats.csr import CSRMatrix
     from repro.serve.service import SolveService
     from repro.validate.faults import FaultInjector
 
-    clean = CSRMatrix(
-        A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(), A.data.copy()
-    )
-    caller = CSRMatrix(
-        A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(), A.data.copy()
-    )
-    x_ref = _reference_solve(clean, b)
+    class _MutateAfterAdmission(FaultInjector):
+        def __init__(self, caller) -> None:
+            super().__init__()
+            self.caller = caller
 
-    class _MutateAfterSubmit(FaultInjector):
         def before_build(self, method_name: str) -> None:
             super().before_build(method_name)
             if self.builds_seen == 1:
-                caller.data *= 2
+                self.caller.data *= 2
 
+    clean = A.copy()
+    x_ref = _reference_solve(clean, b)
     failures: list[FuzzFailure] = []
-    with (service_cls or SolveService)(
-        device=device, method=method, cache_capacity=4, max_workers=2,
-        fault_injector=_MutateAfterSubmit(),
-    ) as svc:
-        first = svc.submit(caller, b).result()[0]
-        later = svc.solve(clean, b)
-    for label, res in (("the mutated request", first),
-                       ("a later clean request", later)):
-        agree, err = _compare(res.x, x_ref, ctol)
-        if not agree:
-            failures.append(FuzzFailure(
-                case=case, method=method, kind="mismatch", via="mutated",
-                max_err=err,
-                message=(
-                    f"{label} deviates from the serial reference by "
-                    f"{err:.3e} after the caller's values changed "
-                    "post-submit"
-                ),
-            ))
+    for door in ("submit", "solve"):
+        caller = A.copy()
+        with (service_cls or SolveService)(
+            device=device, method=method, cache_capacity=4, max_workers=2,
+            fault_injector=_MutateAfterAdmission(caller),
+        ) as svc:
+            if door == "submit":
+                first = svc.submit(caller, b).result()[0]
+            else:
+                first = svc.solve(caller, b)
+            later = svc.solve(clean, b)
+        for label, res in ((f"the mutated {door} request", first),
+                           (f"a later clean request (after {door})", later)):
+            agree, err = _compare(res.x, x_ref, ctol)
+            if not agree:
+                failures.append(FuzzFailure(
+                    case=case, method=method, kind="mismatch",
+                    via="mutated", max_err=err,
+                    message=(
+                        f"{label} deviates from the serial reference by "
+                        f"{err:.3e} after the caller's values changed "
+                        "post-admission"
+                    ),
+                ))
     return failures
 
 
@@ -662,8 +667,9 @@ def run_case(
     each fused result against the oracle and — bit for bit — against
     the same service's per-request solve.
 
-    ``check_mutation`` additionally submits the case to a fresh
-    service (``mutation_service``, default :class:`SolveService`, with
+    ``check_mutation`` additionally sends the case through ``submit``
+    and through ``solve`` of a fresh service each
+    (``mutation_service``, default :class:`SolveService`, with
     ``mutation_method``, default the first method), doubles the caller's
     values after admission, and checks that request and a later clean
     copy against the oracle (see :func:`_mutated_solve`).
@@ -1015,6 +1021,10 @@ def _live_bind_service():
             self._live = A
             return super().submit(A, b, **kwargs)
 
+        def solve(self, A, b, **kwargs):
+            self._live = A
+            return super().solve(A, b, **kwargs)
+
         def _build_overlay(self, pattern, A, vfp, **kwargs):
             return super()._build_overlay(pattern, self._live, vfp, **kwargs)
 
@@ -1031,7 +1041,7 @@ def mutation_self_test(
     tol: float = DEFAULT_RESIDUAL_TOL,
     device: DeviceModel = TITAN_RTX_SCALED,
 ) -> FuzzReport:
-    """Run only the mutated-after-submit arm against a service that binds
+    """Run only the mutated-after-admission arm against a service that binds
     the caller's live values; a harness that can catch the race reports
     failures here (``repro fuzz --self-test`` requires it)."""
     t0 = monotonic()

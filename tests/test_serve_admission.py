@@ -1,19 +1,31 @@
 """What a request is solved from: the admission snapshot, one digest pass
-per array, and the orientation scan only when a pattern is built."""
+per array, and the orientation scan only when a pattern is built; and
+where a synchronous ``solve`` runs: on its caller's thread, accounted like
+a pool request and drained by ``close``."""
 
 import asyncio
 import hashlib
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.errors import (
+    ServiceClosedError,
+    ServiceOverloadedError,
+    SparseFormatError,
+)
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import upper_to_lower_mirror
 from repro.kernels.sptrsv_serial import solve_serial
+from repro.obs import FlightRecorder, Observability, SLOEngine, SLOPolicy
 from repro.serve import (
     AsyncSolveService,
     ServiceConfig,
+    ServiceTimeoutError,
     SolveRequest,
     SolveService,
     fingerprints,
@@ -54,6 +66,10 @@ def _submit(svc, A, b):
     return svc.submit(A, b).result()[0]
 
 
+def _solve(svc, A, b):
+    return svc.solve(A, b)
+
+
 def _batch(svc, A, b):
     return svc.solve_batch([SolveRequest(A=A, b=b)])[0]
 
@@ -66,7 +82,10 @@ def _ingress(svc, A, b):
     return asyncio.run(main())
 
 
-FRONT_DOORS = {"submit": _submit, "solve_batch": _batch, "ingress": _ingress}
+FRONT_DOORS = {
+    "submit": _submit, "solve": _solve, "solve_batch": _batch,
+    "ingress": _ingress,
+}
 
 
 @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
@@ -129,6 +148,11 @@ class TestMutationFuzzArm:
         report = mutation_self_test(rounds=3, seed=0)
         assert not report.ok
         assert {f.via for f in report.failures} == {"mutated"}
+        for door in ("submit", "solve"):
+            assert any(
+                f"the mutated {door} request" in f.message
+                for f in report.failures
+            ), door
 
 
 def _count_calls(monkeypatch, module, name):
@@ -318,3 +342,279 @@ class TestHashing:
         assert full == matrix_fingerprint(A)
         revalued = replace(A, data=A.data * 2, _validated=True)
         assert matrix_fingerprint(revalued) != full
+
+
+class ParkAt(FaultInjector):
+    """Parks every call of one hook until :attr:`go` is set, and signals
+    each arrival on :attr:`parked`."""
+
+    def __init__(self, hook):
+        super().__init__()
+        self.hook = hook
+        self.parked = threading.Semaphore(0)
+        self.go = threading.Event()
+
+    def _park(self):
+        self.parked.release()
+        assert self.go.wait(10)
+
+    def before_build(self, method):
+        super().before_build(method)
+        if self.hook == "build":
+            self._park()
+
+    def before_solve(self, method):
+        super().before_solve(method)
+        if self.hook == "solve":
+            self._park()
+
+
+def _outcomes(door):
+    """An ok solve, a malformed matrix, a fault-injected timeout and a
+    shed-before-solve through ``door``, on a fully observed service;
+    returns what every sink recorded, minus wall-clock values."""
+    obs = Observability(
+        slo=SLOEngine([SLOPolicy("budget", objective_s=5.0, target=0.9,
+                                 window=16, fast_window=4)]),
+        recorder=FlightRecorder(capacity=16),
+    )
+    svc = SolveService(ServiceConfig(max_workers=1, queue_limit=3, obs=obs))
+
+    def call(A, b, **kwargs):
+        if door == "solve":
+            return svc.solve(A, b, **kwargs)
+        return svc.submit(A, b, **kwargs).result()[0]
+
+    L = random_lower(60, 0.1, seed=51)
+    b = np.ones(L.n_rows)
+    bad = copy_of(L)
+    bad.indices = bad.indices[:-1]
+    assert call(L, b, tenant="ok").cache_hit is False
+    assert svc.admission_available == 3
+    with pytest.raises(SparseFormatError):
+        call(bad, b, tenant="malformed")
+    assert svc.admission_available == 3
+    svc.install_fault_injector(FaultInjector(solve_delay_s=0.15))
+    with pytest.raises(ServiceTimeoutError) as info:
+        call(L, b, timeout_s=0.1, tenant="timeout")
+    assert "shed" not in str(info.value)
+    assert svc.admission_available == 3
+    svc.install_fault_injector(None)
+    with pytest.raises(ServiceTimeoutError, match="shed before solve"):
+        call(L, b, timeout_s=0.0, tenant="shed")
+    assert svc.admission_available == 3
+    stats = svc.stats()
+    svc.close()
+    metrics = {}
+    for name, family in obs.metrics_dict().items():
+        if family["kind"] == "histogram":
+            metrics[name] = [(s["labels"], s["count"])
+                             for s in family["series"]]
+        else:
+            metrics[name] = family["samples"]
+    return {
+        "stats": (stats.requests, stats.completed, stats.failed,
+                  stats.timeouts, stats.shed_expired, stats.rejected),
+        "records": [
+            (r.tenant, r.cache_hit, r.timed_out, r.shed_expired,
+             r.error is not None, r.trace_id)
+            for r in svc.records()
+        ],
+        "frames": [
+            (f["tenant"], f["outcome"], f["trace_id"])
+            for f in obs.recorder.frames()
+        ],
+        "incidents": [i.reason for i in obs.recorder.incidents],
+        "metrics": metrics,
+    }
+
+
+class TestSolveOnTheCallersThread:
+    def test_solve_runs_on_the_calling_thread(self):
+        """Cold and warm: every hook of a synchronous solve runs on the
+        caller's thread, while ``submit`` still runs on the pool."""
+        seen = []
+
+        class WhereAmI(FaultInjector):
+            def before_build(self, method):
+                seen.append(("build", threading.current_thread()))
+
+            def before_solve(self, method):
+                seen.append(("solve", threading.current_thread()))
+
+        L = random_lower(80, 0.1, seed=52)
+        b = np.ones(L.n_rows)
+        with SolveService(ServiceConfig(max_workers=1),
+                          fault_injector=WhereAmI()) as svc:
+            cold = svc.solve(L, b)
+            warm = svc.solve(L, b)
+            assert [hook for hook, _ in seen] == ["build", "solve", "solve"]
+            assert all(t is threading.current_thread() for _, t in seen)
+            svc.submit(L, b).result()
+        assert not cold.cache_hit and warm.cache_hit
+        assert seen[-1][1] is not threading.current_thread()
+        assert seen[-1][1].name.startswith("repro-serve")
+
+    def test_every_outcome_is_accounted_as_on_the_pool(self):
+        """Records, permits, metrics, recorder frames and SLO evaluations
+        agree outcome for outcome between ``solve`` and ``submit``."""
+        on_caller = _outcomes("solve")
+        on_pool = _outcomes("submit")
+        assert on_caller == on_pool
+        assert on_caller["stats"] == (4, 1, 1, 2, 1, 0)
+        assert [f[1] for f in on_caller["frames"]] == [
+            "ok", "error", "timeout", "timeout",
+        ]
+        slo = dict(
+            (s["labels"]["verdict"], s["value"])
+            for s in on_caller["metrics"]["repro_slo_requests_total"]
+        )
+        assert slo == {"good": 1, "breach": 3}
+
+    def test_callers_beyond_the_queue_limit_are_rejected_per_tenant(self):
+        L = random_lower(70, 0.1, seed=53)
+        b = np.ones(L.n_rows)
+        obs = Observability()
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=2,
+                                         obs=obs))
+        svc.solve(L, b)
+        park = ParkAt("solve")
+        svc.install_fault_injector(park)
+        results, errors = [], []
+
+        def caller(tenant):
+            try:
+                results.append(svc.solve(L, b, tenant=tenant))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t,))
+                   for t in ("a", "b")]
+        for t in threads:
+            t.start()
+        try:
+            for _ in threads:
+                assert park.parked.acquire(timeout=10)
+            assert svc.admission_available == 0
+            for tenant in ("c", "c", "a"):
+                with pytest.raises(ServiceOverloadedError):
+                    svc.solve(L, b, tenant=tenant)
+        finally:
+            park.go.set()
+            for t in threads:
+                t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == 2
+        assert svc.admission_available == 2
+        stats = svc.stats()
+        svc.close()
+        assert stats.rejected == 3
+        assert stats.per_tenant["c"]["rejected"] == 2
+        assert stats.per_tenant["a"]["rejected"] == 1
+        assert stats.per_tenant["b"]["rejected"] == 0
+        rejected = {
+            s["labels"]["tenant"]: s["value"]
+            for s in obs.metrics_dict()["repro_rejected_total"]["samples"]
+        }
+        assert rejected == {"c": 2, "a": 1}
+
+    def test_close_waits_for_a_solve_parked_in_its_build(self, tmp_path):
+        """``close`` returns only after a caller-thread solve finishes,
+        so the plan it builds still reaches the store."""
+        L = random_lower(90, 0.1, seed=54)
+        b = np.ones(L.n_rows)
+        park = ParkAt("build")
+        svc = SolveService(
+            ServiceConfig(max_workers=1, store_path=str(tmp_path)),
+            fault_injector=park,
+        )
+        out = []
+        solver = threading.Thread(target=lambda: out.append(svc.solve(L, b)))
+        closer = threading.Thread(target=svc.close)
+        solver.start()
+        try:
+            assert park.parked.acquire(timeout=10)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive()
+            with pytest.raises(ServiceClosedError):
+                svc.solve(L, b)
+        finally:
+            park.go.set()
+            solver.join(10)
+            closer.join(10)
+        assert not solver.is_alive() and not closer.is_alive()
+        np.testing.assert_allclose(
+            out[0].x, solve_serial(L, b), rtol=1e-10, atol=1e-12
+        )
+        store = svc.store.stats()
+        assert (store.writes, store.write_errors) == (1, 0)
+
+    def test_close_racing_caller_threads_leaves_nothing_in_flight(self):
+        """Eight caller threads solve while ``close`` runs, with a short
+        switch interval: each solve either completes before ``close``
+        returns or raises ServiceClosedError, and every permit is back."""
+        L = random_lower(60, 0.1, seed=56)
+        b = np.ones(L.n_rows)
+        svc = SolveService(ServiceConfig(max_workers=1))
+        svc.solve(L, b)
+        done, refused = [], []
+        start = threading.Barrier(9)
+
+        def caller():
+            start.wait(10)
+            for _ in range(200):
+                try:
+                    svc.solve(L, b)
+                except ServiceClosedError:
+                    refused.append(1)
+                    return
+                done.append(1)
+
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            start.wait(10)
+            time.sleep(0.02)
+            svc.close()
+            at_close = svc.stats().requests
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert svc.stats().requests == at_close == 1 + len(done)
+        assert done and refused
+        assert svc.admission_available == svc.config.queue_limit
+
+    def test_a_solve_inside_an_open_span_nests_under_it(self):
+        """A synchronous solve made inside an open span of the service's
+        own tracer is a child of that span and shares its trace id
+        (records and recorder frames carry it too); with no span open,
+        a solve starts its own trace, as a pool request does."""
+        L = random_lower(70, 0.1, seed=55)
+        b = np.ones(L.n_rows)
+        obs = Observability()
+        svc = SolveService(ServiceConfig(max_workers=1, obs=obs))
+        svc.solve(L, b)
+        with obs.tracer.span("caller.step") as outer:
+            svc.solve(L, b)
+            svc.submit(L, b).result()
+        svc.close()
+        requests = [s for s in obs.tracer.spans()
+                    if s.name == "serve.request"]
+        alone, nested, pooled = requests
+        assert alone.parent_id is None
+        assert (nested.parent_id, nested.trace_id) == (
+            outer.span_id, outer.trace_id
+        )
+        assert nested.thread == outer.thread
+        assert pooled.parent_id is None
+        assert len({alone.trace_id, outer.trace_id, pooled.trace_id}) == 3
+        traces = [r.trace_id for r in svc.records()]
+        assert traces == [alone.trace_id, outer.trace_id, pooled.trace_id]
+        frames = [f["trace_id"] for f in obs.recorder.frames()]
+        assert frames == traces
