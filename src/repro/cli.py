@@ -817,7 +817,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="titan_rtx_scaled",
                    choices=list(known_devices()))
     p.add_argument("--capacity", type=int, default=8, help="plan-cache slots")
-    p.add_argument("--workers", type=int, default=4, help="executor threads")
+    p.add_argument("--workers", type=int, default=4,
+                   help="pool threads for single submits and --async "
+                   "(--batch runs on the calling thread)")
     p.add_argument("--batch", type=int, default=1,
                    help="submit in batches of this size (enables coalescing)")
     p.add_argument("--scale", type=float, default=0.05)

@@ -19,11 +19,11 @@ economy behind one object:
   ``solve_multi`` call, and same-*pattern* requests are bucketed into
   one fused structural batch that runs all values-groups over the
   shared pattern plan (continuous batching for SpTRSV);
-* a synchronous :meth:`SolveService.solve` runs on the caller's own
-  thread; ``submit``, ``solve_batch`` and the async ingress hand their
-  buckets to a thread pool, where independent buckets run concurrently;
-  both paths sit behind one bounded admission queue, with per-request
-  deadlines;
+* :meth:`SolveService.solve` and :meth:`SolveService.solve_batch` run
+  on the caller's own thread (a batch runs its buckets one after
+  another); ``submit`` and the async ingress hand their buckets to a
+  thread pool; both paths sit behind one bounded admission queue, with
+  per-request deadlines;
 * a planner failure degrades gracefully to the level-set baseline and
   is recorded as a fallback;
 * every request emits a :class:`RequestRecord`; :meth:`SolveService.stats`
@@ -37,6 +37,7 @@ economy behind one object:
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -103,9 +104,9 @@ class ServiceConfig:
     device: DeviceModel = TITAN_RTX_SCALED
     #: LRU capacity of the prepared-plan cache (patterns, not bytes)
     cache_capacity: int = 32
-    #: worker threads of the pool that runs ``submit``, ``solve_batch``
-    #: and async-ingress requests; a synchronous ``solve`` runs on its
-    #: caller's thread and takes no worker (``queue_limit`` bounds both)
+    #: worker threads of the pool that runs ``submit`` and async-ingress
+    #: requests; ``solve`` and ``solve_batch`` run on their caller's
+    #: thread and take no worker (``queue_limit`` bounds both)
     max_workers: int = 4
     #: bound on admitted-but-unfinished requests (backpressure)
     queue_limit: int = 256
@@ -422,8 +423,30 @@ class _PatternEntry:
             return entry, False
 
 
+def _on_caller_thread(door):
+    """Run a front door on its caller's thread, counted so that close()
+    waits for it as the pool's shutdown waits for its workers; refused
+    once close() has begun."""
+
+    @functools.wraps(door)
+    def counted(self, *args, **kwargs):
+        with self._callers_cv:
+            if self._closed:
+                raise ServiceClosedError("service has been shut down")
+            self._callers += 1
+        try:
+            return door(self, *args, **kwargs)
+        finally:
+            with self._callers_cv:
+                self._callers -= 1
+                if not self._callers:
+                    self._callers_cv.notify_all()
+
+    return counted
+
+
 class SolveService:
-    """Concurrent, plan-caching triangular-solve service.
+    """Thread-safe, plan-caching triangular-solve service.
 
     Parameters mirror :class:`ServiceConfig`; pass either a ``config``
     or keyword overrides::
@@ -645,6 +668,7 @@ class SolveService:
             self._release(1)
             raise ServiceClosedError("service has been shut down")
 
+    @_on_caller_thread
     def solve(
         self,
         A: CSRMatrix,
@@ -663,21 +687,9 @@ class SolveService:
         its ``serve.request`` span under that span (same trace id); with
         no span open it starts its own trace, as a pool request does.
         """
-        with self._callers_cv:
-            if self._closed:
-                raise ServiceClosedError("service has been shut down")
-            self._callers += 1
-        try:
-            job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
-            results, _ = self._run_bucket_task(
-                [job], deadline, monotonic(), False
-            )
-            return results[0]
-        finally:
-            with self._callers_cv:
-                self._callers -= 1
-                if not self._callers:
-                    self._callers_cv.notify_all()
+        job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
+        results, _ = self._run_bucket_task([job], deadline, monotonic(), False)
+        return results[0]
 
     def _admit_one(
         self,
@@ -705,24 +717,30 @@ class SolveService:
             job.bs = [np.asarray(b)]
         return job, deadline
 
+    @_on_caller_thread
     def solve_batch(
         self,
         requests: list[SolveRequest | tuple],
         *,
         timeout_s: float | None = None,
     ) -> BatchResult:
-        """Solve a batch with structural fusion.
+        """Solve a batch with structural fusion, on the calling thread.
 
         Requests are bucketed by sparsity pattern (structure digest +
         values dtype + method); within a bucket, same-content requests
         coalesce into one fused multi-RHS call, and distinct values
         vectors run back-to-back over the shared pattern plan — the
         second and later groups pay only a values rebind, never a
-        re-plan.  Buckets run concurrently.
+        re-plan.  Buckets run one after another, in the order of their
+        first requests, under one deadline set at admission: a bucket
+        that starts after it is shed as expired, and its queue wait is
+        the time it waited behind the earlier buckets.
 
         ``requests`` items are :class:`SolveRequest` or ``(A, b)``
         tuples.  Returns a :class:`BatchResult` (list-compatible,
         results in request order) carrying per-bucket fusion info.
+        Every bucket runs even if an earlier one fails; the first
+        failing bucket's exception is then raised.
         Every matrix and right-hand side is copied at admission, so the
         caller may reuse them once this returns (it returns only after
         the whole batch is solved).
@@ -730,8 +748,6 @@ class SolveService:
         fails the batch with a :class:`ValidationError` of kind
         ``"malformed-request"`` whose ``detail["position"]`` names it.
         """
-        if self._closed:
-            raise ServiceClosedError("service has been shut down")
         reqs = [
             r if isinstance(r, SolveRequest) else SolveRequest(A=r[0], b=np.asarray(r[1]))
             for r in requests
@@ -788,35 +804,31 @@ class SolveService:
             job.rids.append(ids[pos])
             job.bs.append(b)
             job.positions.append(pos)
-        futures: list[tuple[list[int], Future]] = []
-        submitted = 0
-        submitted_at = monotonic()
-        try:
-            for bkey, groups in buckets.items():
-                jobs = list(groups.values())
-                positions = [p for j in jobs for p in j.positions]
-                fut = self._pool.submit(
-                    self._run_bucket_task, jobs, deadline, submitted_at, False
-                )
-                submitted += len(positions)
-                futures.append((positions, fut))
-        except RuntimeError:
-            self._release(len(reqs) - submitted)
-            raise ServiceClosedError("service has been shut down")
         out: list[SolveResult | None] = [None] * len(reqs)
         infos: list[BucketInfo] = []
-        pending_error: Exception | None = None
-        for positions, fut in futures:
-            try:
-                results, info = fut.result()
-            except Exception as exc:  # noqa: BLE001 - propagate after draining
-                pending_error = exc
-                continue
-            infos.append(info)
-            for pos, res in zip(positions, results):
-                out[pos] = res
-        if pending_error is not None:
-            raise pending_error
+        first_error: Exception | None = None
+        unrun = len(reqs)
+        submitted_at = monotonic()
+        try:
+            for groups in buckets.values():
+                jobs = list(groups.values())
+                unrun -= sum(len(j.rids) for j in jobs)
+                try:
+                    results, info = self._run_bucket_task(
+                        jobs, deadline, submitted_at, False
+                    )
+                except Exception as exc:  # noqa: BLE001 - raised after the rest
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                infos.append(info)
+                positions = [p for j in jobs for p in j.positions]
+                for pos, res in zip(positions, results):
+                    out[pos] = res
+        finally:
+            self._release(unrun)  # buckets an interrupt kept from running
+        if first_error is not None:
+            raise first_error
         return BatchResult(out, infos, monotonic() - t_batch)
 
     # ------------------------------------------------------------------ #
@@ -1247,7 +1259,7 @@ class SolveService:
         self,
         jobs: list[_GroupJob],
         deadline: float | None,
-        submitted_at: float | None,
+        submitted_at: float,
         as_batch: bool,
     ):
         """Entry for one structural bucket, on a pool worker or a
@@ -1259,7 +1271,7 @@ class SolveService:
         fused = len(jobs) > 1
         obs = self._obs
         tenant = jobs[0].tenant  # buckets are tenant-homogeneous
-        qwait = None if submitted_at is None else max(0.0, t0 - submitted_at)
+        qwait = max(0.0, t0 - submitted_at)
         try:
             if obs is None:
                 results, errors, pattern_hit = self._run_bucket_inner(
@@ -1275,14 +1287,13 @@ class SolveService:
                             n_groups=len(jobs),
                             n_requests=total,
                         ):
-                            if submitted_at is not None:
-                                obs.tracer.record_span(
-                                    "serve.queue_wait", submitted_at, t0
-                                )
-                                metrics = obs.serve_metrics
-                                metrics.queue_wait.observe_key(
-                                    metrics.tenant_keys(tenant)[1], qwait
-                                )
+                            obs.tracer.record_span(
+                                "serve.queue_wait", submitted_at, t0
+                            )
+                            metrics = obs.serve_metrics
+                            metrics.queue_wait.observe_key(
+                                metrics.tenant_keys(tenant)[1], qwait
+                            )
                             results, errors, pattern_hit = self._run_bucket_inner(
                                 jobs, deadline, t0, obs, None, fused, qwait
                             )
@@ -1352,8 +1363,7 @@ class SolveService:
                                 "serve.queue_wait", submitted_at, t0
                             )
                             metrics.queue_wait.observe_key(
-                                metrics.tenant_keys(job.tenant)[1],
-                                max(0.0, t0 - submitted_at),
+                                metrics.tenant_keys(job.tenant)[1], qwait
                             )
                             submitted_at = None
                         try:

@@ -1,7 +1,8 @@
 """What a request is solved from: the admission snapshot, one digest pass
 per array, and the orientation scan only when a pattern is built; and
-where a synchronous ``solve`` runs: on its caller's thread, accounted like
-a pool request and drained by ``close``."""
+where ``solve`` and ``solve_batch`` run: on their caller's thread,
+accounted like a pool request and drained by ``close``, a batch's
+buckets one after another under one deadline."""
 
 import asyncio
 import hashlib
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    NotTriangularError,
     ServiceClosedError,
     ServiceOverloadedError,
     SparseFormatError,
@@ -38,7 +40,7 @@ from repro.serve import service as service_module
 from repro.validate import FaultInjector
 from repro.validate.fuzz import FuzzCase, mutation_self_test, run_case
 
-from conftest import random_lower
+from conftest import random_lower, random_square
 
 
 def copy_of(A):
@@ -429,6 +431,86 @@ def _outcomes(door):
     }
 
 
+def _two_patterns(seed):
+    """Two lower matrices of different patterns and their right-hand
+    sides: a batch of both runs as two buckets."""
+    mats = [random_lower(90, 0.1, seed=seed), random_lower(70, 0.1, seed=seed + 1)]
+    return mats, [np.ones(A.n_rows) for A in mats]
+
+
+def _close_waits_for_a_call_parked_in_its_build(tmp_path, call, n_plans):
+    """``close`` returns only after ``call`` (parked in its first cold
+    build on another thread) finishes, so every plan it builds still
+    reaches the store; a call that starts after ``close`` is refused
+    without taking a permit."""
+    park = ParkAt("build")
+    svc = SolveService(
+        ServiceConfig(max_workers=1, store_path=str(tmp_path)),
+        fault_injector=park,
+    )
+    out = []
+    caller = threading.Thread(target=lambda: out.append(call(svc)))
+    closer = threading.Thread(target=svc.close)
+    caller.start()
+    try:
+        assert park.parked.acquire(timeout=10)
+        closer.start()
+        closer.join(0.3)
+        assert closer.is_alive()
+        held = svc.admission_available
+        with pytest.raises(ServiceClosedError):
+            call(svc)
+        assert svc.admission_available == held
+    finally:
+        park.go.set()
+        caller.join(10)
+        closer.join(10)
+    assert not caller.is_alive() and not closer.is_alive()
+    assert svc.admission_available == svc.config.queue_limit
+    store = svc.store.stats()
+    assert (store.writes, store.write_errors) == (n_plans, 0)
+    return out[0]
+
+
+def _close_racing_caller_threads(call, per_call):
+    """Eight caller threads call while ``close`` runs, with a short
+    switch interval: each call either completes before ``close`` returns
+    or raises ServiceClosedError, and every permit is back."""
+    svc = SolveService(ServiceConfig(max_workers=1))
+    call(svc)
+    done, refused = [], []
+    start = threading.Barrier(9)
+
+    def caller():
+        start.wait(10)
+        for _ in range(200):
+            try:
+                call(svc)
+            except ServiceClosedError:
+                refused.append(1)
+                return
+            done.append(1)
+
+    threads = [threading.Thread(target=caller) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        start.wait(10)
+        time.sleep(0.02)
+        svc.close()
+        at_close = svc.stats().requests
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert svc.stats().requests == at_close == per_call * (1 + len(done))
+    assert done and refused
+    assert svc.admission_available == svc.config.queue_limit
+
+
 class TestSolveOnTheCallersThread:
     def test_solve_runs_on_the_calling_thread(self):
         """Cold and warm: every hook of a synchronous solve runs on the
@@ -454,6 +536,31 @@ class TestSolveOnTheCallersThread:
         assert not cold.cache_hit and warm.cache_hit
         assert seen[-1][1] is not threading.current_thread()
         assert seen[-1][1].name.startswith("repro-serve")
+
+    def test_a_multi_bucket_batch_runs_on_the_calling_thread(self):
+        """Cold and warm: every hook of every bucket of a batch runs on
+        the caller's thread, one bucket after another."""
+        seen = []
+
+        class WhereAmI(FaultInjector):
+            def before_build(self, method):
+                seen.append(("build", threading.current_thread()))
+
+            def before_solve(self, method):
+                seen.append(("solve", threading.current_thread()))
+
+        mats, bs = _two_patterns(62)
+        with SolveService(ServiceConfig(max_workers=2),
+                          fault_injector=WhereAmI()) as svc:
+            cold = svc.solve_batch(list(zip(mats, bs)))
+            warm = svc.solve_batch(list(zip(mats, bs)))
+        assert [hook for hook, _ in seen] == [
+            "build", "solve", "build", "solve", "solve", "solve",
+        ]
+        assert all(t is threading.current_thread() for _, t in seen)
+        assert len(cold.buckets) == len(warm.buckets) == 2
+        assert not any(r.cache_hit for r in cold)
+        assert all(r.cache_hit for r in warm)
 
     def test_every_outcome_is_accounted_as_on_the_pool(self):
         """Records, permits, metrics, recorder frames and SLO evaluations
@@ -523,72 +630,37 @@ class TestSolveOnTheCallersThread:
         so the plan it builds still reaches the store."""
         L = random_lower(90, 0.1, seed=54)
         b = np.ones(L.n_rows)
-        park = ParkAt("build")
-        svc = SolveService(
-            ServiceConfig(max_workers=1, store_path=str(tmp_path)),
-            fault_injector=park,
+        res = _close_waits_for_a_call_parked_in_its_build(
+            tmp_path, lambda svc: svc.solve(L, b), 1
         )
-        out = []
-        solver = threading.Thread(target=lambda: out.append(svc.solve(L, b)))
-        closer = threading.Thread(target=svc.close)
-        solver.start()
-        try:
-            assert park.parked.acquire(timeout=10)
-            closer.start()
-            closer.join(0.3)
-            assert closer.is_alive()
-            with pytest.raises(ServiceClosedError):
-                svc.solve(L, b)
-        finally:
-            park.go.set()
-            solver.join(10)
-            closer.join(10)
-        assert not solver.is_alive() and not closer.is_alive()
         np.testing.assert_allclose(
-            out[0].x, solve_serial(L, b), rtol=1e-10, atol=1e-12
+            res.x, solve_serial(L, b), rtol=1e-10, atol=1e-12
         )
-        store = svc.store.stats()
-        assert (store.writes, store.write_errors) == (1, 0)
+
+    def test_close_waits_for_a_batch_parked_in_its_build(self, tmp_path):
+        """Likewise for a two-bucket batch parked in its first bucket's
+        build: its second bucket still runs, and both plans reach the
+        store."""
+        mats, bs = _two_patterns(57)
+        batch = _close_waits_for_a_call_parked_in_its_build(
+            tmp_path, lambda svc: svc.solve_batch(list(zip(mats, bs))), 2
+        )
+        assert len(batch.buckets) == 2
+        for A, b, res in zip(mats, bs, batch):
+            np.testing.assert_allclose(
+                res.x, solve_serial(A, b), rtol=1e-10, atol=1e-12
+            )
 
     def test_close_racing_caller_threads_leaves_nothing_in_flight(self):
-        """Eight caller threads solve while ``close`` runs, with a short
-        switch interval: each solve either completes before ``close``
-        returns or raises ServiceClosedError, and every permit is back."""
         L = random_lower(60, 0.1, seed=56)
         b = np.ones(L.n_rows)
-        svc = SolveService(ServiceConfig(max_workers=1))
-        svc.solve(L, b)
-        done, refused = [], []
-        start = threading.Barrier(9)
+        _close_racing_caller_threads(lambda svc: svc.solve(L, b), 1)
 
-        def caller():
-            start.wait(10)
-            for _ in range(200):
-                try:
-                    svc.solve(L, b)
-                except ServiceClosedError:
-                    refused.append(1)
-                    return
-                done.append(1)
-
-        threads = [threading.Thread(target=caller) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            start.wait(10)
-            time.sleep(0.02)
-            svc.close()
-            at_close = svc.stats().requests
-            for t in threads:
-                t.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert svc.stats().requests == at_close == 1 + len(done)
-        assert done and refused
-        assert svc.admission_available == svc.config.queue_limit
+    def test_close_racing_batches_leaves_nothing_in_flight(self):
+        mats, bs = _two_patterns(61)
+        _close_racing_caller_threads(
+            lambda svc: svc.solve_batch(list(zip(mats, bs))), 2
+        )
 
     def test_a_solve_inside_an_open_span_nests_under_it(self):
         """A synchronous solve made inside an open span of the service's
@@ -618,3 +690,156 @@ class TestSolveOnTheCallersThread:
         assert traces == [alone.trace_id, outer.trace_id, pooled.trace_id]
         frames = [f["trace_id"] for f in obs.recorder.frames()]
         assert frames == traces
+
+    def test_a_batch_inside_an_open_span_nests_under_it(self):
+        """A batch made inside an open span of the service's own tracer
+        nests every bucket under that span: a fused bucket's
+        ``serve.bucket`` span and a lone request's ``serve.request`` span
+        are its children and share its trace id (records and recorder
+        frames too).  With no span open, each bucket is its own trace."""
+        mats, bs = _two_patterns(63)
+        L = mats[0]
+        V = replace(L, data=L.data * 2, _validated=True)
+        batch = list(zip(mats + [V], bs + [bs[0]]))
+        obs = Observability()
+        svc = SolveService(ServiceConfig(max_workers=1, obs=obs))
+        svc.solve_batch(batch)
+        with obs.tracer.span("caller.step") as outer:
+            svc.solve_batch(batch)
+        svc.close()
+        spans = [s for s in obs.tracer.spans() if s.span_id != outer.span_id]
+        fused_alone, lone_alone = sorted(
+            (s for s in spans if s.parent_id is None), key=lambda s: s.name
+        )
+        assert (fused_alone.name, lone_alone.name) == (
+            "serve.bucket", "serve.request"
+        )
+        assert fused_alone.trace_id != lone_alone.trace_id
+        nested = [s for s in spans if s.trace_id == outer.trace_id]
+        bucket, lone = sorted(
+            (s for s in nested if s.parent_id == outer.span_id),
+            key=lambda s: s.name,
+        )
+        assert (bucket.name, lone.name) == ("serve.bucket", "serve.request")
+        assert [s.name for s in nested if s.parent_id == bucket.span_id
+                and s.name != "serve.queue_wait"] == ["serve.request"] * 2
+        assert {s.thread for s in nested} == {outer.thread}
+        traces = [r.trace_id for r in svc.records()]
+        assert traces == [fused_alone.trace_id] * 2 + [lone_alone.trace_id] \
+            + [outer.trace_id] * 3
+        assert [f["trace_id"] for f in obs.recorder.frames()] == traces
+
+
+class TestBucketsRunInOrder:
+    @pytest.mark.parametrize("first", ["not-triangular", "unknown-method"])
+    def test_the_first_failing_bucket_is_raised(self, first):
+        """Every bucket runs even after one fails; of two failing buckets
+        the first in bucket order is raised, both failures are recorded,
+        the bucket between them completes, and every permit is back."""
+        L = random_lower(60, 0.1, seed=64)
+        square = random_square(60, 0.1, seed=65)
+        ok = random_lower(50, 0.1, seed=66)
+        failing = {
+            "not-triangular": (
+                SolveRequest(A=square, b=np.ones(60)), NotTriangularError
+            ),
+            "unknown-method": (
+                SolveRequest(A=L, b=np.ones(60), method="no-such-method"),
+                ValueError,
+            ),
+        }
+        second = next(k for k in failing if k != first)
+        (req_a, err_a), (req_b, err_b) = failing[first], failing[second]
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=3))
+        with pytest.raises(Exception) as info:
+            svc.solve_batch([req_a, SolveRequest(A=ok, b=np.ones(50)), req_b])
+        assert type(info.value) is err_a
+        assert svc.admission_available == 3
+        stats = svc.stats()
+        svc.close()
+        assert (stats.requests, stats.completed, stats.failed) == (3, 1, 2)
+        assert [
+            None if r.error is None else r.error.split(":")[0]
+            for r in svc.records()
+        ] == [err_a.__name__, None, err_b.__name__]
+
+    def test_an_interrupt_in_a_bucket_frees_every_permit(self):
+        """An interrupt (a BaseException) in the first bucket ends the
+        batch on the caller's thread: the second bucket never runs, and
+        its permit is freed with the first's."""
+
+        class Interrupt(BaseException):
+            pass
+
+        class InterruptEverySolve(FaultInjector):
+            def before_solve(self, method):
+                super().before_solve(method)
+                raise Interrupt
+
+        mats, bs = _two_patterns(68)
+        injector = InterruptEverySolve()
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=2),
+                           fault_injector=injector)
+        with pytest.raises(Interrupt):
+            svc.solve_batch(list(zip(mats, bs)))
+        assert injector.solves_seen == 1
+        assert svc.admission_available == 2
+        svc.close()
+
+    def test_a_bucket_that_starts_past_the_deadline_is_shed(self):
+        """One deadline per batch: the first bucket times out mid-solve,
+        and the second, starting past the deadline, is shed as expired;
+        its queue wait covers its wait behind the first.  Stats, records,
+        metrics and recorder frames agree, and every permit is back."""
+        obs = Observability(
+            slo=SLOEngine([SLOPolicy("budget", objective_s=5.0, target=0.9,
+                                     window=16, fast_window=4)]),
+            recorder=FlightRecorder(capacity=16),
+        )
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=2,
+                                         obs=obs))
+        mats, bs = _two_patterns(67)
+        batch = list(zip(mats, bs))
+        svc.solve_batch(batch)  # both patterns warm
+        svc.install_fault_injector(FaultInjector(solve_delay_s=0.15))
+        with pytest.raises(ServiceTimeoutError) as info:
+            svc.solve_batch(batch, timeout_s=0.1)
+        assert "shed" not in str(info.value)
+        assert svc.admission_available == 2
+        stats = svc.stats()
+        svc.close()
+        assert (stats.requests, stats.completed, stats.timeouts,
+                stats.shed_expired) == (4, 2, 2, 1)
+        assert [(r.timed_out, r.shed_expired, r.error)
+                for r in svc.records()[2:]] == [
+            (True, False, None), (True, True, None),
+        ]
+        frames = obs.recorder.frames()
+        assert [f["outcome"] for f in frames] == [
+            "ok", "ok", "timeout", "timeout",
+        ]
+        first_wait, second_wait = (f["queue_wait_s"] for f in frames[2:])
+        assert first_wait < 0.1 and second_wait >= 0.15
+        waits = [s for s in obs.tracer.spans() if s.name == "serve.queue_wait"]
+        assert [w.duration_s >= 0.15 for w in waits] == [
+            False, False, False, True,
+        ]
+        metrics = obs.metrics_dict()
+
+        def samples(name, label):
+            return {
+                s["labels"][label]: s["value"]
+                for s in metrics[name]["samples"]
+            }
+
+        assert samples("repro_requests_total", "status") == {
+            "ok": 2, "timeout": 2,
+        }
+        assert samples("repro_ingress_sheds_total", "reason") == {
+            "expired": 1,
+        }
+        assert samples("repro_slo_requests_total", "verdict") == {
+            "good": 2, "breach": 2,
+        }
+        assert [s["count"] for s in
+                metrics["repro_queue_wait_seconds"]["series"]] == [4]

@@ -28,7 +28,7 @@ import pytest
 
 import repro
 from repro.core import executor as executor_module
-from repro.serve import ServiceConfig, SolveService
+from repro.serve import ServiceConfig, SolveRequest, SolveService
 
 from conftest import random_lower
 
@@ -66,14 +66,16 @@ class _CountingSuperLU:
         return self.real.gstrs(*args)
 
 
-@pytest.mark.parametrize("door", ["solve", "submit"])
+@pytest.mark.parametrize("door", ["solve", "submit", "solve_batch"])
 def test_warm_hits_leave_no_net_blocks(monkeypatch, door):
     mats = [random_lower(200 + 40 * i, 0.05, seed=70 + i) for i in range(3)]
     bs = [np.ones(A.n_rows) for A in mats]
     svc = SolveService(ServiceConfig(max_workers=1, history_limit=HISTORY))
-    call = svc.solve if door == "solve" else (
-        lambda A, b: svc.submit(A, b).result()[0]
-    )
+    call = {
+        "solve": svc.solve,
+        "submit": lambda A, b: svc.submit(A, b).result()[0],
+        "solve_batch": lambda A, b: svc.solve_batch([SolveRequest(A=A, b=b)]),
+    }[door]
 
     def hits(n):
         for i in range(n):
