@@ -120,11 +120,12 @@ def _bench_matrix(spec) -> dict:
         _validated=True,
     )
     prepared_t = SOLVERS[METHOD](device=device).prepare(tracer_matrix(A))
-    binder = PlanRebinder(prepared_t.plan, A.nnz, A.data.dtype)
-    # Correctness gate: the rebound plan must match a fresh build bitwise
-    # (same segments, same kernels — only the values arrays differ).
-    x_fresh, _ = SOLVERS[METHOD](device=device).prepare(A2).plan.solve(b, device)
-    x_rebound, _ = binder.bind(A2.data).solve(b, device)
+    binder = PlanRebinder(prepared_t.compile(), A.nnz, A.data.dtype)
+    # Correctness gate: the rebound values must solve like a fresh build
+    # bitwise (same segments, same kernels, same engines — only the
+    # values differ).
+    x_fresh, _ = SOLVERS[METHOD](device=device).prepare(A2).solve(b)
+    x_rebound, _ = prepared_t.solve(b, binder.bind(A2.data))
     assert np.array_equal(x_rebound, x_fresh), spec.name
 
     replan_s = _best_loop(

@@ -39,7 +39,6 @@ import scipy
 
 from repro.core import executor
 from repro.core.executor import (
-    _csc_layout,
     _engine_features,
     _GstrsEngine,
     _segment_prep,
@@ -118,14 +117,16 @@ def _measure(seg: TriSegment, rng) -> tuple[float, float]:
     prep = _segment_prep(seg)
     n = seg.hi - seg.lo
     f64 = np.dtype(np.float64)
-    engine = _GstrsEngine(prep, f64, _csc_layout(prep.L))
+    engine = _GstrsEngine(prep.L)
+    vals = engine.values(prep.L.data, engine.perm, prep.diag, f64,
+                         lambda: prep.L)
     b = rng.uniform(0.5, 1.5, n)
     out = np.empty(n)
     scratch = np.empty(n)
     kernel, aux = seg.kernel, seg.aux
 
     def run_engine():
-        engine.solve_into(b, out, scratch)
+        engine.solve_into(vals, b, out, scratch)
 
     def run_kernel():
         out[:] = kernel.solve_numeric(aux, b, TITAN_RTX_SCALED)

@@ -1,4 +1,4 @@
-"""Value rebinding: re-aim a pattern-compiled plan at new matrix values.
+"""Value rebinding: bind new matrix values onto a pattern-compiled plan.
 
 The planners (§3.1-3.4) decide everything — segment boundaries, kernel
 selection, level schedules, block layouts — from the sparsity structure;
@@ -7,8 +7,11 @@ the numeric values only ever flow through *gathers* (``data[order]``,
 pipeline traceable: build the plan once on a *tracer* matrix whose data
 array is ``[1, 2, ..., nnz]``, then read the value arrays embedded in
 the finished plan back as position maps into the original data array.
-Rebinding a new values vector is then a handful of ``data[posmap]``
-gathers — no re-planning, no level discovery, no block re-layout.
+
+Binding a new values vector is then a handful of ``data[posmap]``
+gathers into an :class:`~repro.core.executor.Overlay` — no re-planning,
+no level discovery, no block re-layout, and no plan or executor object:
+the pattern's one compiled plan solves whichever overlay it is handed.
 
 This is the mechanism behind the serve layer's structural batching: the
 same-pattern/different-values workloads of factorization-driven solvers
@@ -25,15 +28,23 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from repro.core.plan import ExecutionPlan, SpMVSegment, TriSegment
+from repro.core.executor import (
+    CompiledPlan,
+    Overlay,
+    _LiveStep,
+    _SpMVStep,
+    _TriStep,
+)
+from repro.core.plan import SpMVSegment, TriSegment
 from repro.formats.triangular import check_solvable_diagonal
 from repro.kernels.base import PreparedLower
 from repro.kernels.sweep import LevelSchedule
 
-__all__ = ["RebindError", "tracer_matrix", "PlanRebinder"]
+__all__ = ["RebindError", "tracer_matrix", "PlanRebinder", "remap_verdicts"]
 
 #: largest integer each float itemsize represents exactly — a tracer
 #: position beyond this would round and corrupt the position map
@@ -65,30 +76,75 @@ def tracer_matrix(A):
     return replace(A, data=data, _validated=True)
 
 
-class PlanRebinder:
-    """Extract position maps from a tracer-built plan; bind new values.
+def _bind_segment(seg, bind, data):
+    """A live step's segment, its aux or matrix bound to ``data``."""
+    if isinstance(seg, TriSegment):
+        return replace(seg, aux=bind(data))
+    return replace(seg, matrix=bind(data))
 
-    Construct with the :class:`ExecutionPlan` produced by preparing a
-    :func:`tracer_matrix`; every value array found in the plan is
-    decoded into an ``int64`` map of positions into the original data
-    array.  :meth:`bind` then produces a new plan whose segments share
-    all structural state (schedules' index arrays, cost caches, perm,
-    preprocess report) with the template and carry freshly gathered
-    values.  Construction raises :class:`RebindError` on any value
-    array that is not an exact gather of tracer positions — e.g. an
-    external kernel whose preprocessing does arithmetic on the values.
-    ``verified=True`` skips that check for a plan whose arrays already
-    passed it byte for byte: a plan-store entry, written only after the
-    writer's own rebinder accepted the same checksummed arrays.
+
+def remap_verdicts(verdicts: tuple, src, dst) -> tuple:
+    """Engine verdicts indexed by the segments of plan ``src``, re-indexed
+    onto plan ``dst``, which holds the same triangular segments in the
+    same order (:func:`repro.dist.tile_plan` splits only SpMV segments,
+    and those never carry a verdict)."""
+    tri = iter([v for v, seg in zip(verdicts, src.segments)
+                if isinstance(seg, TriSegment)])
+    return tuple(next(tri) if isinstance(seg, TriSegment) else None
+                 for seg in dst.segments)
+
+
+class PlanRebinder:
+    """Compose position maps from a tracer-built compiled plan; bind new
+    values onto it as overlays.
+
+    Construct with the :class:`CompiledPlan` that executes the plan
+    prepared from a :func:`tracer_matrix` (for a sharded executor, the
+    :class:`~repro.dist.DistributedPlan`'s tiled ``compiled``), which it
+    marks ``pattern_only``.  Every value array in the plan is decoded
+    into an ``int64`` map of positions into the original data array and
+    composed once into what each step reads: its diagonal map; for a
+    SuperLU-engine step, the factor's map indexed by the step's CSC
+    permutation; the binder of its kernel-path operand.  Construction
+    raises :class:`RebindError` on any value array that is not an exact
+    gather of tracer positions — e.g. an external kernel whose
+    preprocessing does arithmetic on the values.  ``verified=True``
+    skips that check for a plan whose arrays already passed it byte for
+    byte: a plan-store entry, written only after the writer's own
+    rebinder accepted the same checksummed arrays.
     """
 
-    def __init__(self, plan: ExecutionPlan, nnz: int, dtype, *,
+    def __init__(self, compiled: CompiledPlan, nnz: int, dtype, *,
                  verified: bool = False) -> None:
-        self.plan = plan
+        self.compiled = compiled
+        self.plan = compiled.plan
         self.nnz = int(nnz)
         self.dtype = np.dtype(dtype)
         self._verified = verified
-        self._seg_binders = [self._segment_binder(s) for s in plan.segments]
+        #: (step index, diagonal map) per triangular step
+        self._diags: list = []
+        #: engine step index -> (CSC gather or None, diag map, factor binder)
+        self._engines: dict = {}
+        #: per step, the binder of its kernel-path operand
+        self._binders: list = []
+        for i, (seg, step) in enumerate(zip(self.plan.segments,
+                                            compiled._steps)):
+            if isinstance(seg, TriSegment):
+                bind = self._tri(i, seg, step)
+            elif isinstance(seg, SpMVSegment):
+                bind = self.matrix_binder(seg.matrix)
+            else:
+                raise RebindError(
+                    f"unrecognized segment type {type(seg).__qualname__}"
+                )
+            if isinstance(step, _LiveStep):  # it runs the whole segment
+                bind = partial(_bind_segment, seg, bind)
+            self._binders.append(bind)
+        #: (step index, matrix binder) per pure SpMV step, bound eagerly
+        self._spmv = [(i, self._binders[i])
+                      for i, step in enumerate(compiled._steps)
+                      if isinstance(step, _SpMVStep)]
+        compiled.pattern_only = True
 
     # ------------------------------------------------------------------ #
     # Position-map extraction
@@ -115,85 +171,97 @@ class PlanRebinder:
         pos -= 1
         return pos
 
-    def matrix_binder(self, m):
-        """Binder for a CSR/DCSR-like dataclass carrying a ``data`` array."""
+    def matrix_binder(self, m, pmap: np.ndarray | None = None):
+        """Binder for a CSR/DCSR-like dataclass carrying a ``data`` array
+        (``pmap``: its already decoded position map)."""
         if not dataclasses.is_dataclass(m) or not hasattr(m, "data"):
             raise RebindError(f"unrecognized matrix type {type(m).__qualname__}")
-        pmap = self._pos_map(m.data)
-        fields = {f.name for f in dataclasses.fields(m)}
-        if "_validated" in fields:
-            return lambda data: replace(m, data=data[pmap], _validated=True)
-        return lambda data: replace(m, data=data[pmap])
+        if pmap is None:
+            pmap = self._pos_map(m.data)
+        trusted = {"_validated": True} if any(
+            f.name == "_validated" for f in dataclasses.fields(m)
+        ) else {}
+        return lambda data: replace(m, data=data[pmap], **trusted)
 
-    def _prep_binder(self, prep: PreparedLower):
-        bind_L = self.matrix_binder(prep.L)
-        bind_strict = self.matrix_binder(prep.strict)
-        dmap = self._pos_map(prep.diag)
-
-        def bind(data):
-            diag = data[dmap]
-            # the tracer build validated *its* diagonal; every rebind must
-            # re-check the real values or a zero pivot slips through
-            check_solvable_diagonal(diag)
-            return PreparedLower(bind_L(data), bind_strict(data), diag)
-
-        return bind
-
-    def _sched_binder(self, sched: LevelSchedule):
-        bind_prep = self._prep_binder(sched.prep)
-        emap = self._pos_map(sched.entry_vals)
-        # replace() passes the existing _cost_cache through, so all
-        # overlays share one cache — its keys are value-independent
-        # (device, value_bytes, mode), which the pattern key pins.
-        return lambda data: replace(
-            sched, prep=bind_prep(data), entry_vals=data[emap]
-        )
-
-    def _aux_binder(self, aux):
+    def _tri(self, i: int, seg: TriSegment, step):
+        """Record triangular step ``i``'s maps; returns its aux binder."""
+        aux = seg.aux
         if isinstance(aux, PreparedLower):
-            return self._prep_binder(aux)
-        if dataclasses.is_dataclass(aux) and isinstance(
+            prep, sched = aux, None
+        elif dataclasses.is_dataclass(aux) and isinstance(
             getattr(aux, "sched", None), LevelSchedule
         ):
-            bind_sched = self._sched_binder(aux.sched)
-            return lambda data: replace(aux, sched=bind_sched(data))
-        raise RebindError(
-            f"unrecognized auxiliary type {type(aux).__qualname__}"
-        )
+            prep, sched = aux.sched.prep, aux.sched
+        else:
+            raise RebindError(
+                f"unrecognized auxiliary type {type(aux).__qualname__}"
+            )
+        lmap = self._pos_map(prep.L.data)
+        dmap = self._pos_map(prep.diag)
+        bind_L = self.matrix_binder(prep.L, lmap)
+        bind_strict = self.matrix_binder(prep.strict)
 
-    def _segment_binder(self, seg):
-        if isinstance(seg, TriSegment):
-            bind_aux = self._aux_binder(seg.aux)
-            return lambda data: TriSegment(
-                seg.lo, seg.hi, seg.kernel, bind_aux(data), seg.nnz
-            )
-        if isinstance(seg, SpMVSegment):
-            bind_m = self.matrix_binder(seg.matrix)
-            return lambda data: SpMVSegment(
-                seg.row_lo,
-                seg.row_hi,
-                seg.col_lo,
-                seg.col_hi,
-                bind_m(data),
-                seg.kernel,
-            )
-        raise RebindError(f"unrecognized segment type {type(seg).__qualname__}")
+        # The diagonal was checked when the overlay was bound.
+        def bind_prep(data):
+            return PreparedLower(bind_L(data), bind_strict(data), data[dmap])
+
+        if sched is None:
+            bind_aux = bind_prep
+        else:
+            emap = self._pos_map(sched.entry_vals)
+            # replace() passes the existing _cost_cache through, so all
+            # overlays share one cache — its keys are value-independent
+            # (device, value_bytes, mode), which the pattern key pins.
+            def bind_aux(data):
+                return replace(aux, sched=replace(
+                    sched, prep=bind_prep(data), entry_vals=data[emap]
+                ))
+
+        self._diags.append((i, dmap))
+        if isinstance(step, _TriStep) and step.try_engine:
+            engine = step.engine()
+            gather = None if engine.perm is None else lmap[engine.perm]
+            self._engines[i] = (gather, dmap, bind_L)
+        return bind_aux
+
+    def bind_step(self, i: int, data: np.ndarray):
+        """Step ``i``'s kernel-path operand over ``data``."""
+        return self._binders[i](data)
+
+    def engine_values(self, i: int, data: np.ndarray,
+                      dtype: np.dtype) -> tuple:
+        """Engine values of step ``i`` over ``data``."""
+        gather, dmap, bind_L = self._engines[i]
+        return self.compiled._steps[i].engine().values(
+            data, gather, data[dmap], dtype, lambda: bind_L(data)
+        )
 
     # ------------------------------------------------------------------ #
     # Binding
     # ------------------------------------------------------------------ #
-    def bind(self, data: np.ndarray) -> ExecutionPlan:
-        """A plan over ``data`` sharing all structure with the template."""
+    def bind(self, data: np.ndarray, verdicts: tuple | None = None
+             ) -> Overlay:
+        """An overlay of ``data`` on the compiled plan.
+
+        Every diagonal is checked (the tracer build validated *its*
+        diagonal; a zero pivot in the real values must still raise) and
+        every SpMV matrix bound.  ``verdicts`` (see
+        :meth:`CompiledPlan.adopt_engine_verdicts`) build the kept
+        engines' values now.  The rest is built on first use from
+        ``data``, which the overlay keeps: do not modify it afterwards.
+        """
         data = np.asarray(data)
         if data.shape != (self.nnz,) or data.dtype != self.dtype:
             raise RebindError(
                 f"data must have shape ({self.nnz},) dtype {self.dtype}, "
                 f"got {data.shape} {data.dtype}"
             )
-        return ExecutionPlan(
-            method=self.plan.method,
-            n=self.plan.n,
-            segments=[b(data) for b in self._seg_binders],
-            perm=self.plan.perm,
-            preprocess_report=self.plan.preprocess_report,
-        )
+        compiled = self.compiled
+        ov = Overlay(compiled, self, data)
+        for i, dmap in self._diags:
+            check_solvable_diagonal(data[dmap])
+        for i, bind in self._spmv:
+            ov.bound[i] = bind(data)
+        if verdicts:
+            compiled.adopt_engine_verdicts(verdicts, ov)
+        return ov

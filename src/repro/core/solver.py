@@ -29,7 +29,7 @@ from repro.core.blocked_matrix import (
     build_improved_recursive_plan,
 )
 from repro.core.column_block import build_column_block_plan
-from repro.core.executor import CompiledPlan, compile_plan
+from repro.core.executor import CompiledPlan, Overlay, compile_plan
 from repro.core.plan import ExecutionPlan, TriSegment
 from repro.core.planner import DEFAULT_ROW_FACTOR, choose_depth
 from repro.core.recursive_block import build_recursive_block_plan
@@ -100,27 +100,19 @@ class PreparedSolve:
                 self._compiled = compile_plan(self.plan, self.device)
             return self._compiled
 
-    def _compile_shared(self, template: CompiledPlan) -> CompiledPlan:
-        """Compile sharing structural state with a pattern template.
+    def solve(
+        self, b: np.ndarray, overlay: Overlay | None = None
+    ) -> tuple[np.ndarray, SolveReport]:
+        """One SpTRSV: exact solution + simulated timing report.
 
-        Used by the serve layer's structural batching: a values overlay
-        compiles against the pattern's :class:`CompiledPlan` so the
-        arena pool, frozen reports, and CSC layouts are shared instead
-        of rebuilt.
-        """
-        with self._compile_lock:
-            if self._compiled is None:
-                self._compiled = CompiledPlan(
-                    self.plan, self.device, share_from=template
-                )
-            return self._compiled
-
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """One SpTRSV: exact solution + simulated timing report."""
-        return self.compile().solve(b)
+        ``overlay`` solves another values vector of this plan's pattern
+        (see :class:`repro.core.rebind.PlanRebinder`); without one the
+        plan solves its own values."""
+        return self.compile().solve(b, overlay)
 
     def solve_multi(
-        self, B: np.ndarray, *, fused: bool = True
+        self, B: np.ndarray, overlay: Overlay | None = None, *,
+        fused: bool = True,
     ) -> tuple[np.ndarray, SolveReport]:
         """Solve for every column of ``B`` (multiple right-hand sides).
 
@@ -132,14 +124,14 @@ class PreparedSolve:
         bound, useful for comparisons)."""
         B = np.asarray(B)
         if B.ndim == 1:
-            x, rep = self.solve(B)
+            x, rep = self.solve(B, overlay)
             return x, rep
         if fused:
-            return self.compile().solve_multi(B)
+            return self.compile().solve_multi(B, overlay)
         cols = []
         report = None
         for j in range(B.shape[1]):
-            x, rep = self.solve(B[:, j])
+            x, rep = self.solve(B[:, j], overlay)
             cols.append(x)
             report = rep
         total = SolveReport(

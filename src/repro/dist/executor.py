@@ -25,7 +25,7 @@ import threading
 import numpy as np
 
 from repro.core.dag import build_segment_dag
-from repro.core.executor import CompiledPlan, compile_plan
+from repro.core.executor import CompiledPlan, Overlay, compile_plan
 from repro.core.plan import ExecutionPlan, TriSegment
 from repro.dist.partition import tile_plan
 from repro.dist.schedule import (
@@ -48,7 +48,10 @@ class DistributedPlan:
     >>> x, report = dp.solve(b)                                    # doctest: +SKIP
 
     ``report.time_s`` is the schedule makespan; ``report.detail``
-    carries the occupancy/transfer/critical-path accounting.
+    carries the occupancy/transfer/critical-path accounting.  Like
+    :class:`CompiledPlan`, ``solve``/``solve_multi`` take an optional
+    :class:`~repro.core.executor.Overlay` bound onto :attr:`compiled`,
+    so one sharded executor serves every values vector of a pattern.
     """
 
     def __init__(
@@ -59,7 +62,6 @@ class DistributedPlan:
         *,
         interconnect: Interconnect | None = None,
         compiled: CompiledPlan | None = None,
-        template: "DistributedPlan | None" = None,
         schedule: DistSchedule | None = None,
         scheduler: str = "eft",
         sync: str = "p2p",
@@ -81,51 +83,30 @@ class DistributedPlan:
         #: at triangular boundaries (bitwise-equal refinement) so the
         #: DAG has width to shard
         self.plan = tile_plan(plan)
-        if template is not None and not (
-            template.n_devices == self.n_devices
-            and template.plan.method == self.plan.method
-            and len(template.plan.segments) == len(self.plan.segments)
-        ):
-            template = None
         self.compiled = self._compile_tiled(
-            plan, compiled or compile_plan(plan, device), template
+            plan, compiled or compile_plan(plan, device)
         )
         #: RHS width -> schedule
         self._multi: dict[int, DistSchedule] = {}
         self._multi_lock = threading.Lock()
-        if template is not None:
-            # the DAG and the compiled plan's frozen reports read only
-            # segment structure and simulated per-segment costs — both
-            # pinned by the pattern key, so values-only overlays share
-            # them.  Schedules are policy products: shared only when the
-            # template was scheduled under the same scheduler and sync
-            # mode, else recomputed from the shared frozen costs.
-            self.dag = template.dag
-            if (
-                getattr(template, "scheduler", "eft") == scheduler
-                and getattr(template, "sync", "p2p") == sync
-            ):
-                self.schedule = template.schedule
-                self._multi = template._multi
-                self._multi_lock = template._multi_lock
-            else:
-                self.schedule = self._schedule(self._reports)
+        #: RHS width -> the report every solve at that width copies
+        #: (pure plans only: a live step's report changes per solve)
+        self._solved: dict[int, SolveReport] = {}
+        self.dag = build_segment_dag(self.plan)
+        # A persisted schedule (repro.serve.store) is injected only when
+        # it provably describes this very DAG shape; anything else
+        # silently falls back to recomputing — a wrong schedule would
+        # break the dependency order, not just the timings.
+        if schedule is not None and (
+            schedule.n_devices == self.n_devices
+            and schedule.method == self.plan.method
+            and sorted(schedule.order) == list(self.compiled._order)
+            and getattr(schedule, "scheduler", "eft") == scheduler
+            and getattr(schedule, "sync", "p2p") == sync
+        ):
+            self.schedule = schedule
         else:
-            self.dag = build_segment_dag(self.plan)
-            # A persisted schedule (repro.serve.store) is injected only
-            # when it provably describes this very DAG shape; anything
-            # else silently falls back to recomputing — a wrong schedule
-            # would break the dependency order, not just the timings.
-            if schedule is not None and (
-                schedule.n_devices == self.n_devices
-                and schedule.method == self.plan.method
-                and sorted(schedule.order) == list(self.compiled._order)
-                and getattr(schedule, "scheduler", "eft") == scheduler
-                and getattr(schedule, "sync", "p2p") == sync
-            ):
-                self.schedule = schedule
-            else:
-                self.schedule = self._schedule(self._reports)
+            self.schedule = self._schedule(self._reports)
 
     @classmethod
     def from_prepared(
@@ -134,7 +115,6 @@ class DistributedPlan:
         n_devices: int,
         *,
         interconnect: Interconnect | None = None,
-        template: "DistributedPlan | None" = None,
         schedule: DistSchedule | None = None,
         scheduler: str = "eft",
         sync: str = "p2p",
@@ -142,16 +122,12 @@ class DistributedPlan:
         """Build from a :class:`repro.PreparedSolve`, reusing (or
         building) its compiled executor for the numerics.
 
-        With ``template`` (a DistributedPlan over the same segment
-        structure — the serve layer's pattern-level instance) the DAG,
-        frozen reports, and schedules are shared instead of recomputed,
-        so a values-only overlay pays gather cost rather than a full
-        schedule rebuild.  ``schedule`` injects a persisted
-        :class:`DistSchedule` (the plan store's warm-start path); it is
-        used only if it matches this plan's method, device count,
-        tiled segment count, scheduler, and sync mode, else recomputed.
-        ``scheduler`` names a registered placement policy and ``sync``
-        the dependency-resolution mode (see :mod:`repro.dist.schedule`).
+        ``schedule`` injects a persisted :class:`DistSchedule` (the plan
+        store's warm-start path); it is used only if it matches this
+        plan's method, device count, tiled segment count, scheduler, and
+        sync mode, else recomputed.  ``scheduler`` names a registered
+        placement policy and ``sync`` the dependency-resolution mode
+        (see :mod:`repro.dist.schedule`).
         """
         return cls(
             prepared.plan,
@@ -159,17 +135,13 @@ class DistributedPlan:
             n_devices,
             interconnect=interconnect,
             compiled=prepared.compile(),
-            template=template,
             schedule=schedule,
             scheduler=scheduler,
             sync=sync,
         )
 
     def _compile_tiled(
-        self,
-        source: ExecutionPlan,
-        base: CompiledPlan,
-        template: "DistributedPlan | None" = None,
+        self, source: ExecutionPlan, base: CompiledPlan
     ) -> CompiledPlan:
         """Compile the tiled plan, *sharing* the source's compiled
         triangular steps.
@@ -177,20 +149,16 @@ class DistributedPlan:
         Whether a compiled triangular step uses a SuperLU engine is a
         structural decision, so an independent compilation would choose
         the same engines; sharing the base plan's step objects (the
-        tiled plan shares its TriSegment instances) saves building and
-        accuracy-probing each engine twice, and makes the sharded
-        numerics run literally the same triangular code paths as the
-        single-device compiled plan.  The SpMV row slices are bitwise
-        equal by row-locality.
+        tiled plan shares its TriSegment instances) shares their CSC
+        layouts, and makes the sharded numerics run literally the same
+        triangular code paths as the single-device compiled plan.  The
+        SpMV row slices are bitwise equal by row-locality.  When nothing
+        was split the base plan itself executes, so its overlays solve
+        here too.
         """
         if self.plan is source:  # nothing was split
             return base
-        if template is not None:
-            tiled = CompiledPlan(
-                self.plan, self.device, share_from=template.compiled
-            )
-        else:
-            tiled = compile_plan(self.plan, self.device)
+        tiled = compile_plan(self.plan, self.device)
         tri_steps = {
             id(seg): step
             for seg, step in zip(source.segments, base._steps)
@@ -234,38 +202,56 @@ class DistributedPlan:
 
     # -- reporting ------------------------------------------------------ #
     def _report(
-        self, sched: DistSchedule, reports: list, profile, **detail
+        self, k: int, sched: DistSchedule, reports: list, profile, **detail
     ) -> SolveReport:
-        merged = merge_reports(
-            self.plan.method,
-            reports,
-            n_tri=self.plan.n_tri_segments,
-            n_spmv=self.plan.n_spmv_segments,
-        )
-        occ = sched.occupancy()
+        """One solve's report at RHS width ``k``: over the frozen reports,
+        a copy of one merged per width, owning its kernels and detail."""
+        frozen = reports is self.compiled._captures[k][0]
+        solved = self._solved.get(k) if frozen else None
+        if solved is None:
+            merged = merge_reports(
+                self.plan.method,
+                reports,
+                n_tri=self.plan.n_tri_segments,
+                n_spmv=self.plan.n_spmv_segments,
+            )
+            solved = SolveReport(
+                method=self.plan.method,
+                time_s=sched.makespan_s,
+                flops=merged.flops,
+                launches=merged.launches,
+                bytes_moved=merged.bytes_moved
+                + sched.transfer_items * self.interconnect.item_bytes,
+                kernels=merged.kernels,
+                detail={
+                    "n_devices": sched.n_devices,
+                    "scheduler": sched.scheduler,
+                    "sync": sched.sync,
+                    "makespan_s": sched.makespan_s,
+                    "single_device_s": sched.total_cost_s,
+                    "speedup": sched.speedup(),
+                    "critical_path_s": sched.critical_path_s,
+                    "occupancy": sched.occupancy(),
+                    "device_busy_s": list(sched.device_busy_s),
+                    "transfers": len(sched.transfers),
+                    "transfer_x_items": sched.x_transfer_items,
+                    "transfer_b_items": sched.b_transfer_items,
+                    "transfer_time_s": sched.transfer_time_s,
+                    **detail,
+                },
+            )
+            if frozen:
+                self._solved.setdefault(k, solved)
         report = SolveReport(
-            method=self.plan.method,
-            time_s=sched.makespan_s,
-            flops=merged.flops,
-            launches=merged.launches,
-            bytes_moved=merged.bytes_moved
-            + sched.transfer_items * self.interconnect.item_bytes,
-            kernels=list(merged.kernels),
+            method=solved.method,
+            time_s=solved.time_s,
+            flops=solved.flops,
+            launches=solved.launches,
+            bytes_moved=solved.bytes_moved,
+            kernels=list(solved.kernels),
             detail={
-                "n_devices": sched.n_devices,
-                "scheduler": sched.scheduler,
-                "sync": sched.sync,
-                "makespan_s": sched.makespan_s,
-                "single_device_s": sched.total_cost_s,
-                "speedup": sched.speedup(),
-                "critical_path_s": sched.critical_path_s,
-                "occupancy": occ,
-                "device_busy_s": list(sched.device_busy_s),
-                "transfers": len(sched.transfers),
-                "transfer_x_items": sched.x_transfer_items,
-                "transfer_b_items": sched.b_transfer_items,
-                "transfer_time_s": sched.transfer_time_s,
-                **detail,
+                key: list(val) if isinstance(val, list) else val
+                for key, val in solved.detail.items()
             },
         )
         if profile is not None:
@@ -273,18 +259,28 @@ class DistributedPlan:
         return report
 
     # -- execution ------------------------------------------------------ #
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def solve(self, b: np.ndarray, overlay: Overlay | None = None
+              ) -> tuple[np.ndarray, SolveReport]:
         """One sharded SpTRSV; drop-in for ``plan.solve(b, device)``
-        with the schedule makespan as the simulated time."""
+        with the schedule makespan as the simulated time.  ``overlay``
+        (bound onto :attr:`compiled`) solves another values vector of
+        the plan's pattern."""
         b = self.compiled._check_b(b)
         sched = self._schedule_for(0)
-        x, reports, profile = self.compiled._execute(b, 0, sched.order, sched)
-        return x, self._report(sched, reports, profile)
+        x, reports, profile = self.compiled._execute(
+            b, 0, sched.order, sched, overlay
+        )
+        return x, self._report(0, sched, reports, profile)
 
-    def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def solve_multi(self, B: np.ndarray, overlay: Overlay | None = None
+                    ) -> tuple[np.ndarray, SolveReport]:
         """Fused multi-RHS sharded solve."""
         B = self.compiled._check_B(B)
         k = B.shape[1]
         sched = self._schedule_for(k)
-        X, reports, profile = self.compiled._execute(B, k, sched.order, sched)
-        return X, self._report(sched, reports, profile, n_rhs=k, fused=True)
+        X, reports, profile = self.compiled._execute(
+            B, k, sched.order, sched, overlay
+        )
+        return X, self._report(
+            k, sched, reports, profile, n_rhs=k, fused=True
+        )

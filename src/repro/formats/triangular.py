@@ -125,6 +125,8 @@ def split_strict_and_diag(csr: CSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
 
 def check_solvable_diagonal(diag: np.ndarray) -> None:
     """Raise :class:`SingularMatrixError` if the diagonal has a zero."""
+    if diag.all():
+        return
     bad = np.nonzero(diag == 0)[0]
     if len(bad):
         raise SingularMatrixError(

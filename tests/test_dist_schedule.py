@@ -473,6 +473,42 @@ class TestDistributedPlan:
             d["single_device_s"] / d["makespan_s"]
         )
 
+    def test_reports_are_merged_once_and_owned_by_each_solve(
+        self, monkeypatch
+    ):
+        """A pure plan merges its report once per RHS width; every solve
+        gets an equal copy that owns its kernels, its detail and the
+        lists inside it."""
+        import repro.dist.executor as dist_executor
+
+        _, prepared = _prepare(nseg=8)
+        dp = DistributedPlan.from_prepared(prepared, 4)
+        merges = []
+        real = dist_executor.merge_reports
+
+        def counted(*args, **kwargs):
+            merges.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist_executor, "merge_reports", counted)
+        n = prepared.plan.n
+        for solve, rhs in ((dp.solve, np.ones(n)),
+                           (dp.solve_multi, np.ones((n, 3)))):
+            _, first = solve(rhs)
+            _, second = solve(rhs)
+            assert first == second
+            assert first.kernels is not second.kernels
+            assert first.detail is not second.detail
+            for key, val in first.detail.items():
+                if isinstance(val, list):
+                    assert val is not second.detail[key], key
+            first.detail["device_busy_s"][0] = -1.0
+            first.detail["occupancy"].append(2.0)
+            first.kernels.clear()
+            _, third = solve(rhs)
+            assert third == second
+        assert len(merges) == 2  # one per RHS width
+
     def test_schedule_invariants_hold(self):
         _, prepared = _prepare(nseg=8)
         dp = DistributedPlan.from_prepared(prepared, 4)
@@ -552,11 +588,20 @@ class TestServiceIntegration:
                           n_devices=3) as svc:
             res = svc.solve(L, b)
             entry = next(iter(svc.cache._entries.values()))
-        assert entry.dist is not None
+        assert entry.template_dist is not None
         assert res.report.detail["n_devices"] == 3
-        # Bit-identical to the same prepared plan's single-device path.
-        x1, _ = entry.prepared.solve(b)
+        # Bit-identical to the single-device path of the same pattern
+        # plan, built directly on the values.
+        x1, _ = SOLVERS["column-block"](
+            device=svc.config.device, nseg=8
+        ).prepare(L).solve(b)
         assert np.array_equal(res.x, x1)
+        # The pattern's own plans hold tracer positions: they solve
+        # only through an overlay.
+        with pytest.raises(ValueError, match="overlay"):
+            entry.template.solve(b)
+        with pytest.raises(ValueError, match="overlay"):
+            entry.template_dist.solve(b)
 
     def test_single_device_service_attaches_no_dist(self):
         L = random_lower(120, density=0.08, seed=12)
@@ -564,7 +609,7 @@ class TestServiceIntegration:
                           solver_options={"nseg": 4}) as svc:
             svc.solve(L, np.ones(L.n_rows))
             entry = next(iter(svc.cache._entries.values()))
-            assert entry.dist is None
+            assert entry.template_dist is None
 
     def test_rejects_nonpositive_device_count(self):
         with pytest.raises(ValueError):
@@ -593,12 +638,14 @@ class TestServiceIntegration:
                           sync_mode="barrier", obs=obs) as svc:
             res = svc.solve(L, b)
             entry = next(iter(svc.cache._entries.values()))
-        assert entry.dist.schedule.scheduler == "superstep"
-        assert entry.dist.schedule.sync == "barrier"
+        assert entry.template_dist.schedule.scheduler == "superstep"
+        assert entry.template_dist.schedule.sync == "barrier"
         assert res.report.detail["scheduler"] == "superstep"
         assert res.report.detail["sync"] == "barrier"
         # still bit-identical to the single-device path
-        x1, _ = entry.prepared.solve(b)
+        x1, _ = SOLVERS["column-block"](
+            device=svc.config.device, nseg=8
+        ).prepare(L).solve(b)
         assert np.array_equal(res.x, x1)
         m = obs.serve_metrics
         assert m.dist_solves.value(

@@ -96,10 +96,10 @@ class _FlipClock:
         return self.now
 
 
-def _verdicts(compiled) -> list:
+def _verdicts(compiled, overlay=None) -> list:
     return [
         None if v is None else v.get(F64)
-        for v in compiled.engine_verdicts(resolve=F64)
+        for v in compiled.engine_verdicts(resolve=F64, overlay=overlay)
     ]
 
 
@@ -120,11 +120,11 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
 
     def overlay(svc):
         (pattern,) = svc.cache._entries.values()
-        return pattern.overlays[vfp].prepared._compiled
+        return pattern.binder.compiled, pattern.overlays[vfp].overlay
 
     with SolveService(ServiceConfig(**config)) as svc:
         x_service = svc.solve(L, b).x
-        v_service = _verdicts(overlay(svc))
+        v_service = _verdicts(*overlay(svc))
     assert any(v_service), "no segment chose an engine"
 
     prepared = SOLVERS["recursive-block"](device=DEVICE).prepare(L)
@@ -134,7 +134,7 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
     with SolveService(ServiceConfig(**config)) as svc:
         x_loaded = svc.solve(L, b).x
         assert svc.stats().pattern_builds == 0
-        v_loaded = _verdicts(overlay(svc))
+        v_loaded = _verdicts(*overlay(svc))
 
     dp = DistributedPlan.from_prepared(
         PreparedSolve(prepared.method, prepared.plan, DEVICE,
@@ -151,17 +151,32 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
         assert x.tobytes() == x_service.tobytes()
 
 
-def test_pattern_template_never_builds_an_engine():
+def test_pattern_template_never_builds_an_engine(monkeypatch):
     """The tracer-valued template is never solved, so it never builds
-    or probes an engine; its overlays still probe their own values."""
+    or probes an engine: every engine is built and probed on a request's
+    own values, in that request's overlay."""
+    built = []
+    real_values = executor._GstrsEngine.values
+    real_probe = _TriStep._build_engine
+
+    def values(engine, src, *args):
+        built.append(src)
+        return real_values(engine, src, *args)
+
+    def probe(step, ov, i, work_dtype):
+        built.append(ov.data)
+        return real_probe(step, ov, i, work_dtype)
+
+    monkeypatch.setattr(executor._GstrsEngine, "values", values)
+    monkeypatch.setattr(_TriStep, "_build_engine", probe)
     L = random_lower(300, 0.03, seed=15)
     with SolveService(ServiceConfig(device=DEVICE, max_workers=1)) as svc:
         svc.solve(L, np.ones(L.n_rows))
         (pattern,) = svc.cache._entries.values()
-        template = pattern.template_compiled
-        first = pattern.overlays[fingerprints(L)[2]].prepared._compiled
+        template = pattern.template.compile()
+        first = pattern.overlays[fingerprints(L)[2]].overlay
     tri = [s for s in template._steps if isinstance(s, _TriStep)]
     assert any(s.try_engine for s in tri)
-    assert all(s._engines == {} for s in tri)
-    assert any(s._engines.get(F64) is not None
-               for s in first._steps if isinstance(s, _TriStep))
+    assert template._own is None  # no overlay of the tracer values
+    assert built and all(np.array_equal(src, L.data) for src in built)
+    assert any(e and e.get(F64) is not None for e in first.engines)

@@ -1,10 +1,10 @@
 """SuperLU engines built by gathers from a pattern's CSC layout.
 
-A values overlay builds its ``gstrs`` engine from the layout its pattern
-template computed once: ``L.data[perm] * invdiag[col]`` instead of
-SciPy's CSR -> CSC -> diagonal-scale -> sum-duplicates conversions.  The
-result must be the SciPy construction array for array — same values,
-same sign bits, same index arrays and dtypes — so solves stay
+A values overlay builds its ``gstrs`` engine values from the layout its
+pattern's step computed once: ``L.data[perm] * invdiag[col]`` instead
+of SciPy's CSR -> CSC -> diagonal-scale -> sum-duplicates conversions.
+The result must be the SciPy construction array for array — same
+values, same sign bits, same index arrays and dtypes — so solves stay
 bit-identical.  Where the two could differ (a product that is exactly
 zero, which SciPy's matmul drops; duplicate entries, which it sums) the
 engine falls back to the SciPy construction itself.
@@ -31,13 +31,16 @@ from repro.core.executor import (  # noqa: E402
     _GstrsEngine,
     _TriStep,
     _csc_layout,
-    compile_plan,
 )
 from repro.core.rebind import PlanRebinder, tracer_matrix  # noqa: E402
 from repro.core.solver import SOLVERS  # noqa: E402
 from repro.formats.csr import CSRMatrix  # noqa: E402
 from repro.gpu.device import TITAN_RTX_SCALED  # noqa: E402
-from repro.kernels.base import prepare_lower, solve_dtype  # noqa: E402
+from repro.kernels.base import (  # noqa: E402
+    PreparedLower,
+    prepare_lower,
+    solve_dtype,
+)
 from repro.serve import SolveService, fingerprints  # noqa: E402
 from repro.serve.service import VERDICT_MEMO_CAPACITY  # noqa: E402
 from repro.validate.fuzz import FAMILIES  # noqa: E402
@@ -48,30 +51,36 @@ DEVICE = TITAN_RTX_SCALED
 DTYPES = ("float32", "float64")
 
 
-def _assert_same_engine(got: _GstrsEngine, ref: _GstrsEngine) -> None:
-    assert got.n == ref.n
-    assert got.dtype == ref.dtype
-    assert got.l_nnz == ref.l_nnz
-    assert got.u_nnz == ref.u_nnz
-    for name in ("l_data", "l_indices", "l_indptr",
-                 "u_data", "u_indices", "u_indptr", "invdiag"):
-        a, b = getattr(got, name), getattr(ref, name)
+ENGINE_ARRAYS = ("l_data", "l_indices", "l_indptr", "invdiag")
+
+
+def _assert_same_engine(got: tuple, ref: tuple) -> None:
+    """Engine values ``(l_data, l_indices, l_indptr, invdiag)`` equal."""
+    assert len(got) == len(ref) == len(ENGINE_ARRAYS)
+    for name, a, b in zip(ENGINE_ARRAYS, got, ref):
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
         # byte equality: values *and* sign bits (+0.0 vs -0.0)
         assert a.tobytes() == b.tobytes(), name
 
 
+def _scipy_values(prep: PreparedLower, dtype) -> tuple:
+    """Engine values of ``prep`` through SciPy's construction alone."""
+    return _GstrsEngine(prep.L).values(
+        prep.L.data, None, prep.diag, np.dtype(dtype), lambda: prep.L
+    )
+
+
 def _engines(L: CSRMatrix, work_dtype):
-    """(gather-built, SciPy-built, layout) engines for ``L``."""
+    """(gather-built, SciPy-built) engine values for ``L``, and the
+    engine whose layout the first was gathered through."""
     prep = prepare_lower(L)
     compute = solve_dtype(prep.L.data.dtype, np.dtype(work_dtype))
-    layout = _csc_layout(prep.L)
-    return (
-        _GstrsEngine(prep, compute, layout),
-        _GstrsEngine(prep, compute),
-        layout,
-    )
+    engine = _GstrsEngine(prep.L)
+    got = engine.values(prep.L.data, engine.perm, prep.diag, compute,
+                        lambda: prep.L)
+    assert got[0].dtype == compute
+    return got, _scipy_values(prep, compute), engine
 
 
 @pytest.mark.parametrize("value_dtype", DTYPES)
@@ -82,12 +91,12 @@ def test_gather_engine_equals_scipy_construction(family, value_dtype,
                                                  seed, size):
     L = FAMILIES[family](np.random.default_rng(seed), size).astype(value_dtype)
     for work_dtype in DTYPES:
-        got, ref, layout = _engines(L, work_dtype)
+        got, ref, engine = _engines(L, work_dtype)
         _assert_same_engine(got, ref)
         if np.all(L.data != 0):
             # the gather path really ran: it shares the layout's arrays
-            assert got.l_indices is layout[2]
-            assert got.l_indptr is layout[3]
+            assert got[1] is engine.indices
+            assert got[2] is engine.indptr
 
 
 def _with_entry(L: CSRMatrix, value: float, col_diag: float | None = None):
@@ -114,9 +123,9 @@ def test_zero_product_falls_back_to_scipy(value_dtype, value, col_diag):
     L = random_lower(60, 0.1, seed=4)
     L = _with_entry(L, value, col_diag).astype(value_dtype)
     for work_dtype in DTYPES:
-        got, ref, layout = _engines(L, work_dtype)
+        got, ref, engine = _engines(L, work_dtype)
         _assert_same_engine(got, ref)
-        assert layout and got.l_nnz < L.nnz
+        assert engine.perm is not None and len(got[0]) < L.nnz
 
 
 def test_duplicate_entries_fall_back_to_scipy():
@@ -131,23 +140,36 @@ def test_duplicate_entries_fall_back_to_scipy():
     indptr[rows[k] + 1:] += 1
     dup = CSRMatrix(L.n_rows, L.n_cols, indptr, indices, data)
     for work_dtype in DTYPES:
-        got, ref, layout = _engines(dup, work_dtype)
-        assert layout == ()
+        got, ref, engine = _engines(dup, work_dtype)
+        assert _csc_layout(prepare_lower(dup).L) == ()
+        assert engine.perm is None
         _assert_same_engine(got, ref)
 
 
 def _pattern(L: CSRMatrix, method: str = "levelset"):
     """Compiled tracer template + binder, as the serve layer builds them."""
     prepared = SOLVERS[method](device=DEVICE).prepare(tracer_matrix(L))
-    binder = PlanRebinder(prepared.plan, L.nnz, L.data.dtype)
-    return compile_plan(prepared.plan, DEVICE), binder
+    compiled = prepared.compile()
+    return compiled, PlanRebinder(compiled, L.nnz, L.data.dtype)
 
 
-def _engine_steps(compiled: CompiledPlan) -> list[_TriStep]:
-    steps = [s for s in compiled._steps
+def _engine_steps(compiled: CompiledPlan) -> list[tuple[int, _TriStep]]:
+    steps = [(i, s) for i, s in enumerate(compiled._steps)
              if isinstance(s, _TriStep) and s.try_engine]
     assert steps, "no engine-eligible segment"
     return steps
+
+
+def _bound_prep(ov, i: int) -> PreparedLower:
+    """The real-valued factor of step ``i`` under overlay ``ov``."""
+    aux = ov.bound_for(i)
+    return aux if isinstance(aux, PreparedLower) else aux.sched.prep
+
+
+def _direct(L: CSRMatrix, data, method: str = "levelset"):
+    """A plan built directly on ``data`` over ``L``'s pattern."""
+    A = CSRMatrix(L.n_rows, L.n_cols, L.indptr, L.indices, data)
+    return SOLVERS[method](device=DEVICE).prepare(A)
 
 
 def test_overlays_share_the_template_layout():
@@ -159,20 +181,19 @@ def test_overlays_share_the_template_layout():
     overlays = []
     for _ in range(2):
         data = L.data * rng.uniform(0.5, 1.5, L.nnz)
-        plan = binder.bind(data)
-        compiled = CompiledPlan(plan, DEVICE, share_from=template)
-        x, _ = compiled.solve(b)
-        x_ref, _ = plan.solve(b, DEVICE)
+        ov = binder.bind(data)
+        x, _ = template.solve(b, ov)
+        x_ref, _ = _direct(L, data).plan.solve(b, DEVICE)
         np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-12)
-        overlays.append(compiled)
-    tsteps = _engine_steps(template)
-    for compiled in overlays:
-        for tstep, step in zip(tsteps, _engine_steps(compiled)):
-            assert tstep._layout  # computed once, on the template
-            assert step._layout is None
-            engine = step._engines[f64]
-            assert engine is not None
-            assert engine.l_indices is tstep._layout[2]
+        overlays.append(ov)
+    for ov in overlays:
+        for i, step in _engine_steps(template):
+            engine = step._engine  # one layout per step, for every overlay
+            assert engine.perm is not None
+            vals = ov.engines[i][f64]
+            assert vals is not None
+            assert vals[1] is engine.indices
+            assert vals[2] is engine.indptr
 
 
 def test_overlay_failing_accuracy_check_runs_kernel_path():
@@ -182,19 +203,18 @@ def test_overlay_failing_accuracy_check_runs_kernel_path():
     template, binder = _pattern(L)
     f64 = np.dtype(np.float64)
     bad = _with_entry(L, np.nan)
-    plan = binder.bind(bad.data)
-    compiled = CompiledPlan(plan, DEVICE, share_from=template)
+    ov = binder.bind(bad.data)
     b = np.ones(L.n_rows)
-    x, _ = compiled.solve(b)
-    for step in _engine_steps(compiled):
-        assert step._engines[f64] is None
-    x_ref, _ = plan.solve(b, DEVICE)
+    x, _ = template.solve(b, ov)
+    for i, _step in _engine_steps(template):
+        assert ov.engines[i][f64] is None
+    x_ref, _ = _direct(L, bad.data).plan.solve(b, DEVICE)
     np.testing.assert_array_equal(x, x_ref)
 
 
 def test_concurrent_overlays_build_scipy_equal_engines():
-    """Overlays building engines on many threads at once, all racing to
-    fill the template's lazily cached layout, still get engines equal
+    """Overlays of one pattern building their engines on many threads
+    at once, over the step's one shared layout, still get engines equal
     to the SciPy construction."""
     L = random_lower(200, 0.05, seed=8)
     template, binder = _pattern(L)
@@ -204,9 +224,9 @@ def test_concurrent_overlays_build_scipy_equal_engines():
     b = np.ones(L.n_rows)
 
     def build(data):
-        compiled = CompiledPlan(binder.bind(data), DEVICE, share_from=template)
-        compiled.solve(b)
-        return compiled
+        ov = binder.bind(data)
+        template.solve(b, ov)
+        return ov
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -215,11 +235,13 @@ def test_concurrent_overlays_build_scipy_equal_engines():
             overlays = list(pool.map(build, datas, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for compiled in overlays:
-        for step in _engine_steps(compiled):
-            engine = step._engines[f64]
-            assert engine is not None
-            _assert_same_engine(engine, _GstrsEngine(step.prep, engine.dtype))
+    for ov in overlays:
+        for i, _step in _engine_steps(template):
+            vals = ov.engines[i][f64]
+            assert vals is not None
+            _assert_same_engine(
+                vals, _scipy_values(_bound_prep(ov, i), vals[0].dtype)
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -234,9 +256,9 @@ def probes(monkeypatch):
     calls = []
     real = _TriStep._build_engine
 
-    def counted(step, work_dtype):
+    def counted(step, ov, i, work_dtype):
         calls.append(np.dtype(work_dtype))
-        return real(step, work_dtype)
+        return real(step, ov, i, work_dtype)
 
     monkeypatch.setattr(_TriStep, "_build_engine", counted)
     return calls
@@ -259,8 +281,8 @@ def _only_pattern(svc: SolveService):
 
 
 def _overlay_engines(pattern, A: CSRMatrix) -> list[dict]:
-    compiled = pattern.overlays[_vfp(A)].prepared._compiled
-    return [s._engines for s in _engine_steps(compiled)]
+    ov = pattern.overlays[_vfp(A)].overlay
+    return [ov.engines[i] for i, _ in _engine_steps(pattern.binder.compiled)]
 
 
 @pytest.mark.parametrize("n_devices", [1, 4])
@@ -354,11 +376,11 @@ def test_only_completed_verdicts_are_recorded(monkeypatch):
     armed = []
     real = _TriStep._build_engine
 
-    def gated(step, work_dtype):
+    def gated(step, ov, i, work_dtype):
         if armed and armed.pop():
             started.set()
             assert release.wait(timeout=30)
-        return real(step, work_dtype)
+        return real(step, ov, i, work_dtype)
 
     monkeypatch.setattr(_TriStep, "_build_engine", gated)
     with SolveService(overlay_capacity=1, max_workers=2) as svc:

@@ -662,6 +662,31 @@ class TestSolveOnTheCallersThread:
             lambda svc: svc.solve_batch(list(zip(mats, bs))), 2
         )
 
+    def test_an_open_service_never_notifies_its_callers(self):
+        """Only ``close`` waits on the caller count, so a solve or batch
+        that brings it to zero on an open service wakes nobody."""
+        L = random_lower(60, 0.1, seed=64)
+        b = np.ones(L.n_rows)
+        svc = SolveService(ServiceConfig(max_workers=1))
+        cv = svc._callers_cv
+        notified = []
+        real = cv.notify_all
+
+        def counted():
+            notified.append(threading.current_thread())
+            real()
+
+        cv.notify_all = counted
+        try:
+            for _ in range(100):
+                svc.solve(L, b)
+            for _ in range(10):
+                svc.solve_batch([(L, b)])
+            assert notified == []
+        finally:
+            svc.close()
+        assert svc.stats().completed == 110
+
     def test_a_solve_inside_an_open_span_nests_under_it(self):
         """A synchronous solve made inside an open span of the service's
         own tracer is a child of that span and shares its trace id

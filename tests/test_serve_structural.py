@@ -79,25 +79,27 @@ class TestRebinder:
         L = random_lower(150, 0.06, seed=5)
         solver = RecursiveBlockSolver(device=TITAN_RTX_SCALED)
         prepared_t = solver.prepare(tracer_matrix(L))
-        binder = PlanRebinder(prepared_t.plan, L.nnz, L.data.dtype)
-        plan = binder.bind(L.data)
+        binder = PlanRebinder(prepared_t.compile(), L.nnz, L.data.dtype)
+        overlay = binder.bind(L.data)
         direct = solver.prepare(L)
         b = np.random.default_rng(6).standard_normal(L.n_rows)
-        x, _ = plan.solve(b, TITAN_RTX_SCALED)
-        x_ref, _ = direct.plan.solve(b, TITAN_RTX_SCALED)
+        x, _ = prepared_t.solve(b, overlay)
+        x_ref, _ = direct.solve(b)
         assert np.array_equal(x, x_ref)
 
     def test_verified_rebinder_binds_like_the_checked_one(self):
         """A store-loaded template skips the tracer checks its writer
-        already ran; the position maps and bound plans are the same."""
+        already ran; the position maps and bound overlays are the same."""
         L = random_lower(150, 0.06, seed=8)
         solver = RecursiveBlockSolver(device=TITAN_RTX_SCALED)
-        tmpl = solver.prepare(tracer_matrix(L)).plan
-        checked = PlanRebinder(tmpl, L.nnz, L.data.dtype)
-        verified = PlanRebinder(tmpl, L.nnz, L.data.dtype, verified=True)
+        prepared_t = solver.prepare(tracer_matrix(L))
+        tmpl = prepared_t.plan
+        compiled = prepared_t.compile()
+        checked = PlanRebinder(compiled, L.nnz, L.data.dtype)
+        verified = PlanRebinder(compiled, L.nnz, L.data.dtype, verified=True)
         b = np.random.default_rng(9).standard_normal(L.n_rows)
-        x, _ = checked.bind(L.data).solve(b, TITAN_RTX_SCALED)
-        y, _ = verified.bind(L.data).solve(b, TITAN_RTX_SCALED)
+        x, _ = prepared_t.solve(b, checked.bind(L.data))
+        y, _ = prepared_t.solve(b, verified.bind(L.data))
         assert np.array_equal(x, y)
         for seg in tmpl.segments:
             data = getattr(getattr(seg, "matrix", None), "data", None)
@@ -105,6 +107,9 @@ class TestRebinder:
                 want = checked._pos_map(data)
                 got = verified._pos_map(data)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert checked._engines.keys() == verified._engines.keys()
+        for i, (want, _dmap, _bind) in checked._engines.items():
+            assert np.array_equal(verified._engines[i][0], want)
 
     def test_rebinder_rejects_dtype_mismatch(self):
         L = random_lower(40, 0.2, seed=7)
@@ -113,7 +118,7 @@ class TestRebinder:
         with pytest.raises(RebindError):
             PlanRebinder(
                 RecursiveBlockSolver(device=TITAN_RTX_SCALED)
-                .prepare(tracer_matrix(L)).plan,
+                .prepare(tracer_matrix(L)).compile(),
                 L.nnz,
                 np.float32,  # plan arrays are float64: dtype mismatch
             )
@@ -124,7 +129,7 @@ class TestRebinder:
         L = random_lower(30, 0.2, seed=8)
         solver = RecursiveBlockSolver(device=TITAN_RTX_SCALED)
         prepared_t = solver.prepare(tracer_matrix(L))
-        binder = PlanRebinder(prepared_t.plan, L.nnz, L.data.dtype)
+        binder = PlanRebinder(prepared_t.compile(), L.nnz, L.data.dtype)
         bad = L.data.copy()
         diag_rows = np.repeat(np.arange(L.n_rows), L.row_counts())
         bad[L.indices == diag_rows] = 0.0
