@@ -88,18 +88,22 @@ def _reorder(
     """:func:`recursive_levelset_reorder` plus, per leaf range, the
     levels of the permuted matrix's diagonal block there: the leaf's
     levels in its local sort order (a row's level depends only on the
-    dependency graph)."""
+    dependency graph).
+
+    The recursion runs over an explicit stack, in the same pre-order: a
+    self-referring inner function would be a reference cycle holding
+    ``L`` until a full collection."""
     n = L.n_rows
     perm = np.arange(n, dtype=np.int64)
     reorder_nnz = 0
     splits: dict = {}
     leaf_levels: dict = {}
-
-    def rec(lo: int, hi: int, d: int) -> None:
-        nonlocal reorder_nnz
+    stack = [(0, n, depth)]
+    while stack:
+        lo, hi, d = stack.pop()
         if hi - lo < 2:
             leaf_levels[(lo, hi)] = np.zeros(hi - lo, dtype=np.int64)
-            return
+            continue
         sub = _permuted_principal_block(L, perm[lo:hi])
         levels = compute_levels(sub)
         local = levelset_permutation(sub, levels)
@@ -117,12 +121,9 @@ def _reorder(
                     if lo < candidate < hi:
                         mid = candidate
             splits[(lo, hi)] = mid
-            rec(lo, mid, d - 1)
-            rec(mid, hi, d - 1)
+            stack += [(mid, hi, d - 1), (lo, mid, d - 1)]
         else:
             leaf_levels[(lo, hi)] = levels[local]
-
-    rec(0, n, depth)
     return perm, reorder_nnz, splits, leaf_levels
 
 

@@ -33,6 +33,7 @@ from repro.dist.schedule import (
     DistSchedule,
     Interconnect,
     get_scheduler,
+    price_placement,
     schedule_dag,
 )
 from repro.gpu.device import DeviceModel
@@ -62,7 +63,7 @@ class DistributedPlan:
         *,
         interconnect: Interconnect | None = None,
         compiled: CompiledPlan | None = None,
-        schedule: DistSchedule | None = None,
+        placement: dict | None = None,
         scheduler: str = "eft",
         sync: str = "p2p",
     ) -> None:
@@ -93,18 +94,22 @@ class DistributedPlan:
         #: (pure plans only: a live step's report changes per solve)
         self._solved: dict[int, SolveReport] = {}
         self.dag = build_segment_dag(self.plan)
-        # A persisted schedule (repro.serve.store) is injected only when
-        # it provably describes this very DAG shape; anything else
-        # silently falls back to recomputing — a wrong schedule would
+        # A persisted placement (repro.serve.store) is priced only when it
+        # was chosen for this device count, policy and sync mode; anything
+        # else is recomputed.  Its order must be topological on this very
+        # DAG (price_placement raises otherwise): a wrong order would
         # break the dependency order, not just the timings.
-        if schedule is not None and (
-            schedule.n_devices == self.n_devices
-            and schedule.method == self.plan.method
-            and sorted(schedule.order) == list(self.compiled._order)
-            and getattr(schedule, "scheduler", "eft") == scheduler
-            and getattr(schedule, "sync", "p2p") == sync
+        if placement is not None and (
+            placement.get("n_devices") == self.n_devices
+            and placement.get("scheduler") == scheduler
+            and placement.get("sync") == sync
         ):
-            self.schedule = schedule
+            self.schedule = price_placement(
+                self.dag, [r.time_s for r in self._reports],
+                placement["assignment"], self.n_devices, self.interconnect,
+                method=self.plan.method, scheduler=scheduler, sync=sync,
+                order=placement["order"],
+            )
         else:
             self.schedule = self._schedule(self._reports)
 
@@ -115,19 +120,21 @@ class DistributedPlan:
         n_devices: int,
         *,
         interconnect: Interconnect | None = None,
-        schedule: DistSchedule | None = None,
+        placement: dict | None = None,
         scheduler: str = "eft",
         sync: str = "p2p",
     ) -> "DistributedPlan":
         """Build from a :class:`repro.PreparedSolve`, reusing (or
         building) its compiled executor for the numerics.
 
-        ``schedule`` injects a persisted :class:`DistSchedule` (the plan
-        store's warm-start path); it is used only if it matches this
-        plan's method, device count, tiled segment count, scheduler, and
-        sync mode, else recomputed.  ``scheduler`` names a registered
-        placement policy and ``sync`` the dependency-resolution mode
-        (see :mod:`repro.dist.schedule`).
+        ``placement`` injects a persisted schedule's decisions (the plan
+        store's warm-start path): ``{"n_devices", "scheduler", "sync",
+        "assignment", "order"}`` as :meth:`placement` gives them.  It is
+        priced, not trusted: used only if its device count, scheduler and
+        sync mode match, and refused (raising) unless its order is a
+        topological order of the tiled plan's DAG.  ``scheduler`` names a
+        registered placement policy and ``sync`` the dependency-resolution
+        mode (see :mod:`repro.dist.schedule`).
         """
         return cls(
             prepared.plan,
@@ -135,10 +142,22 @@ class DistributedPlan:
             n_devices,
             interconnect=interconnect,
             compiled=prepared.compile(),
-            schedule=schedule,
+            placement=placement,
             scheduler=scheduler,
             sync=sync,
         )
+
+    def placement(self) -> dict:
+        """The one-vector schedule's decisions, as a plan store keeps
+        them (JSON-able; see ``placement`` of :meth:`from_prepared`)."""
+        sched = self.schedule
+        return {
+            "n_devices": sched.n_devices,
+            "scheduler": sched.scheduler,
+            "sync": sched.sync,
+            "assignment": list(sched.assignment),
+            "order": list(sched.order),
+        }
 
     def _compile_tiled(
         self, source: ExecutionPlan, base: CompiledPlan
@@ -158,17 +177,15 @@ class DistributedPlan:
         """
         if self.plan is source:  # nothing was split
             return base
-        tiled = compile_plan(self.plan, self.device)
-        tri_steps = {
-            id(seg): step
-            for seg, step in zip(source.segments, base._steps)
-            if isinstance(seg, TriSegment)
-        }
-        for i, seg in enumerate(self.plan.segments):
-            step = tri_steps.get(id(seg))
-            if step is not None:
-                tiled._steps[i] = step
-        return tiled
+        # Reports are pure functions of segment structure: a shared
+        # segment keeps its frozen report, a split SpMV piece gets its
+        # kernel's, so the tiled plan probes nothing.
+        shared = dict(zip(map(id, source.segments), base._captured(0)[0]))
+        frozen = [
+            shared.get(id(seg)) or seg.kernel.report(seg.matrix, self.device)
+            for seg in self.plan.segments
+        ]
+        return compile_plan(self.plan, self.device, frozen=frozen, share=base)
 
     # -- simulated per-segment costs ----------------------------------- #
     @property

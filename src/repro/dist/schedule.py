@@ -48,6 +48,7 @@ __all__ = [
     "register_scheduler",
     "unregister_scheduler",
     "schedule_dag",
+    "price_placement",
 ]
 
 #: the executor's dependency-resolution styles (see module docstring)
@@ -561,28 +562,70 @@ class Scheduler:
         if len(costs_s) != n:
             raise ValueError(f"need {n} segment costs, got {len(costs_s)}")
         assignment = self.place(dag, costs_s, n_devices, interconnect)
-        start, finish = _TIMELINES[sync](
-            dag, costs_s, assignment, n_devices, interconnect
+        return price_placement(
+            dag, costs_s, assignment, n_devices, interconnect,
+            method=method, scheduler=self.name, sync=sync,
         )
-        busy = [0.0] * n_devices
-        for j in range(n):
-            busy[assignment[j]] += costs_s[j]
+
+
+def price_placement(
+    dag: SegmentDAG,
+    costs_s: list[float],
+    assignment: list[int],
+    n_devices: int,
+    interconnect: Interconnect,
+    *,
+    method: str,
+    scheduler: str,
+    sync: str,
+    order: list[int] | None = None,
+) -> DistSchedule:
+    """The :class:`DistSchedule` of a given placement: its timeline under
+    ``sync``, transfers and accounting, stamped with the ``scheduler``
+    that chose it.  The executor runs segments in start-time order, or
+    in ``order`` (a persisted one), which must be a topological order of
+    ``dag``; a placement or order that is not one raises
+    :class:`~repro.errors.ValidationError` before anything is priced."""
+    n = dag.n_segments
+    if len(assignment) != n or not all(
+        isinstance(d, int) and 0 <= d < n_devices for d in assignment
+    ):
+        raise ValidationError(
+            f"placement of {len(assignment)} segments does not fit "
+            f"{n} segments on {n_devices} devices",
+            kind="schedule-devices",
+            detail={"n_segments": n, "n_devices": n_devices},
+        )
+    if order is not None and not (
+        sorted(order) == list(range(n)) and dag.check_topological(order)
+    ):
+        raise ValidationError(
+            "persisted order is not a topological order of the DAG",
+            kind="schedule-order", detail={"n_segments": n},
+        )
+    start, finish = _TIMELINES[sync](
+        dag, costs_s, assignment, n_devices, interconnect
+    )
+    busy = [0.0] * n_devices
+    for j in range(n):
+        busy[assignment[j]] += costs_s[j]
+    if order is None:
         order = sorted(range(n), key=lambda j: (start[j], j))
-        return DistSchedule(
-            method=method,
-            n_devices=n_devices,
-            assignment=assignment,
-            order=order,
-            costs_s=costs_s,
-            start_s=start,
-            finish_s=finish,
-            transfers=_build_transfers(dag, assignment, finish, interconnect),
-            makespan_s=max(finish, default=0.0),
-            device_busy_s=busy,
-            critical_path_s=dag.critical_path_s(costs_s),
-            scheduler=self.name,
-            sync=sync,
-        )
+    return DistSchedule(
+        method=method,
+        n_devices=n_devices,
+        assignment=list(assignment),
+        order=list(order),
+        costs_s=costs_s,
+        start_s=start,
+        finish_s=finish,
+        transfers=_build_transfers(dag, assignment, finish, interconnect),
+        makespan_s=max(finish, default=0.0),
+        device_busy_s=busy,
+        critical_path_s=dag.critical_path_s(costs_s),
+        scheduler=scheduler,
+        sync=sync,
+    )
 
 
 class GreedyEFTScheduler(Scheduler):

@@ -12,7 +12,9 @@ integer right-hand side, run every registered method — and the
 against :func:`repro.kernels.sptrsv_serial.solve_serial` plus the
 residual ``‖A x − b‖``.  One service arm mutates the caller's matrix
 after ``submit`` or ``solve`` admitted it and checks that neither that
-request nor a later clean one sees the new values.
+request nor a later clean one sees the new values; another persists the
+case through a plan store and answers it again from a fresh service
+that loads the entry instead of planning.
 
 Failures are *minimized* (shrink the system, drop the RHS block, drop
 the mirror) and reported with a self-contained reproduction command, so
@@ -288,6 +290,7 @@ class FuzzFailure:
     method: str
     kind: str  # "mismatch" | "residual" | "invariant" | "exception" | "dtype"
     #: "direct" | "service" | "compiled" | "dist" | "fused" | "mutated"
+    #: | "store"
     via: str = "direct"
     message: str = ""
     max_err: float | None = None
@@ -609,6 +612,71 @@ def _mutated_solve(
     return failures
 
 
+def _store_solve(
+    case: "FuzzCase",
+    A,
+    b: np.ndarray,
+    method: str,
+    device: DeviceModel,
+    ctol: float,
+) -> list["FuzzFailure"]:
+    """Persist the case through a store-backed service, then answer it
+    from a fresh service on the same directory.
+
+    The fresh service gets the same request, a values variant and a
+    3-column right-hand side, on 1 or 3 devices (by the case seed).  It
+    must load the pattern instead of planning (zero pattern builds, one
+    store hit), answer the writer's values bit for bit like the writer,
+    and agree with the serial oracle on all three.
+    """
+    import tempfile
+
+    from repro.serve.service import ServiceConfig, SolveService
+
+    n_devices = (1, 3)[case.seed % 2]
+    rng = np.random.default_rng((case.seed ^ 0x5707E) & 0xFFFFFFFF)
+    V = replace(A, data=(A.data * rng.uniform(0.5, 1.5, A.nnz)).astype(
+        A.data.dtype), _validated=True)
+    B = (rng.standard_normal((A.n_rows, 3)) * 2.0).astype(b.dtype)
+    tag = f"{n_devices} device(s)"
+    failures: list[FuzzFailure] = []
+
+    def fail(message: str, err: float | None = None) -> None:
+        failures.append(FuzzFailure(
+            case=case, method=method, kind="mismatch", via="store",
+            max_err=err, message=f"{message} ({tag})",
+        ))
+
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-store-") as path:
+        cfg = ServiceConfig(device=device, method=method, max_workers=1,
+                            n_devices=n_devices, store_path=path)
+        with SolveService(cfg) as writer:
+            x_writer = np.asarray(writer.solve(A, b).x)
+        with SolveService(cfg) as loader:
+            answers = [(A, b, np.asarray(loader.solve(A, b).x)),
+                       (V, b, np.asarray(loader.solve(V, b).x)),
+                       (A, B, np.asarray(loader.solve(A, B).x))]
+        stats = loader.stats()
+    if stats.pattern_builds or stats.store.hits != 1:
+        fail(f"the fresh service built {stats.pattern_builds} pattern(s) "
+             f"with {stats.store.hits} store hit(s), not 0 and 1")
+    if not np.array_equal(answers[0][2], x_writer):
+        err = float(np.max(np.abs(
+            answers[0][2].astype(np.float64) - x_writer.astype(np.float64)
+        )))
+        fail("the loaded pattern's answer is not bit-identical to the "
+             f"writer's (max diff {err:.3e})", err)
+    for label, (M, rhs, x) in zip(
+        ("the writer's values", "a values variant", "a 3-column RHS"),
+        answers,
+    ):
+        agree, err = _compare(x, _reference_solve(M, rhs), ctol)
+        if not agree:
+            fail(f"the loaded pattern's answer to {label} deviates from "
+                 f"the serial reference by {err:.3e}", err)
+    return failures
+
+
 def _compare(x, x_ref: np.ndarray, tol: float) -> tuple[bool, float]:
     x = np.asarray(x, dtype=np.float64)
     err = float(np.max(np.abs(x - x_ref))) if x_ref.size else 0.0
@@ -641,6 +709,8 @@ def run_case(
     check_mutation: bool = True,
     mutation_method: str | None = None,
     mutation_service=None,
+    check_store: bool = True,
+    store_method: str | None = None,
 ) -> list[FuzzFailure]:
     """Differentially test one case; returns the (possibly empty) failures.
 
@@ -673,6 +743,11 @@ def run_case(
     ``mutation_method``, default the first method), doubles the caller's
     values after admission, and checks that request and a later clean
     copy against the oracle (see :func:`_mutated_solve`).
+
+    ``check_store`` additionally persists the case through a
+    store-backed service (with ``store_method``, default the first
+    method) and answers it, a values variant and a 3-column RHS from a
+    fresh service that loads the entry (see :func:`_store_solve`).
     """
     A, b = case.build()
     x_ref = _reference_solve(A, b)
@@ -795,6 +870,15 @@ def run_case(
                 case=case, method=mmethod, kind="exception", via="mutated",
                 message=f"{type(exc).__name__}: {exc}",
             ))
+    if check_store and methods:
+        stmethod = store_method or methods[0]
+        try:
+            failures.extend(_store_solve(case, A, b, stmethod, device, ctol))
+        except Exception as exc:  # noqa: BLE001 - any crash is a finding
+            failures.append(FuzzFailure(
+                case=case, method=stmethod, kind="exception", via="store",
+                message=f"{type(exc).__name__}: {exc}",
+            ))
     if service is not None:
         smethod = service_method or methods[0]
         try:
@@ -841,6 +925,7 @@ def minimize_failure(
                 check_dist=(failure.via == "dist"),
                 check_fused=(failure.via == "fused"),
                 check_mutation=(failure.via == "mutated"),
+                check_store=(failure.via == "store"),
             ))
         except Exception:  # noqa: BLE001 - a crash still reproduces a bug
             return True
@@ -926,7 +1011,7 @@ def run_fuzz(
         for r in range(rounds):
             case = sample_case(seed, r, families, base_size)
             report.n_cases += 1
-            report.n_checks += len(methods) + (1 if service else 0) + 4
+            report.n_checks += len(methods) + (1 if service else 0) + 5
             failures = run_case(
                 case,
                 methods,
@@ -938,6 +1023,7 @@ def run_fuzz(
                 dist_method=methods[r % len(methods)],
                 fused_method=methods[r % len(methods)],
                 mutation_method=methods[r % len(methods)],
+                store_method=methods[r % len(methods)],
             )
             if failures and log:
                 log(f"round {r}: {len(failures)} failure(s) on {case.token()}")
@@ -951,11 +1037,12 @@ def run_fuzz(
             service.close()
     if minimize:
         for f in report.failures:
-            # Direct, compiled, dist, fused and mutated failures are
-            # pure functions of the case (fused and mutated use a fresh
-            # service per check); shared-service failures depend on
-            # service state.
-            if f.via in ("direct", "compiled", "dist", "fused", "mutated"):
+            # Direct, compiled, dist, fused, mutated and store failures
+            # are pure functions of the case (fused, mutated and store
+            # use fresh services per check); shared-service failures
+            # depend on service state.
+            if f.via in ("direct", "compiled", "dist", "fused", "mutated",
+                         "store"):
                 f.minimized = minimize_failure(f, device, tol)
     report.elapsed_s = monotonic() - t0
     return report
@@ -1057,7 +1144,7 @@ def mutation_self_test(
         report.failures.extend(run_case(
             case, [method], device, tol,
             check_compiled=False, check_dist=False, check_fused=False,
-            mutation_service=stand_in,
+            check_store=False, mutation_service=stand_in,
         ))
     report.elapsed_s = monotonic() - t0
     return report

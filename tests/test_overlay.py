@@ -314,3 +314,45 @@ def test_two_overlays_solving_at_once_each_answer_their_own(monkeypatch,
     for V, x in zip((V1, V2), got):
         x_ref, _ = SOLVERS["recursive-block"](device=DEVICE).prepare(V).solve(b)
         assert x.tobytes() == x_ref.tobytes()
+
+
+def test_a_bind_gathers_each_diagonal_once(monkeypatch):
+    """Adopting kept verdicts builds each engine's values from the very
+    diagonal the bind gathered and checked: one diagonal gather per
+    triangular step per bind, and the overlay still solves bit for bit
+    like a plan built on its values."""
+    from repro.core import executor, rebind
+
+    L = random_lower(300, density=0.03, seed=3)
+    V = _scaled(L, 31)
+    b = np.random.default_rng(32).standard_normal(L.n_rows)
+    with _service(solver_options={"depth": 2}) as svc:
+        svc.solve(V, b)
+        pattern = _only_pattern(svc)
+        binder = pattern.binder
+        verdicts = binder.compiled.engine_verdicts(
+            resolve=F64, overlay=_overlay(svc, V)
+        )
+        checked, used = [], []
+        check = rebind.check_solvable_diagonal
+        values = executor._GstrsEngine.values
+
+        def counted_check(diag):
+            checked.append(diag)
+            check(diag)
+
+        def counted_values(self, src, gather, diag, dtype, factor):
+            used.append(diag)
+            return values(self, src, gather, diag, dtype, factor)
+
+        monkeypatch.setattr(rebind, "check_solvable_diagonal", counted_check)
+        monkeypatch.setattr(executor._GstrsEngine, "values", counted_values)
+        overlay = binder.bind(V.data, verdicts)
+        plan = binder.plan
+        engines = sum(bool(e) for e in binder.compiled._engine_steps)
+        assert len(checked) == plan.n_tri_segments
+        assert engines and len(used) == engines
+        assert all(any(d is c for c in checked) for d in used)
+        x, _ = pattern.template.solve(b, overlay)
+    direct = SOLVERS["recursive-block"](device=DEVICE, depth=2).prepare(V)
+    assert np.array_equal(x, direct.solve(b)[0])

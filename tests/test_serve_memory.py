@@ -170,9 +170,13 @@ def test_overlay_churn_leaves_no_net_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n_devices", [1, 2])
 def test_a_closed_service_is_freed_without_the_cyclic_collector(n_devices):
-    """A closed service that its caller drops frees its patterns, plans
-    and overlays at once: nothing in it refers back to the service or
-    to a plan, so its memory does not wait for a full collection."""
+    """A closed service that its caller drops frees its patterns, plans,
+    overlays and request snapshots at once: nothing in it refers back to
+    the service or to a plan, and no planner leaves a reference cycle
+    holding the matrix it planned, so its memory does not wait for a
+    full collection."""
+    from repro.serve.service import _Snapshot
+
     L = random_lower(240, 0.05, seed=82)
     variants = [L] + [
         CSRMatrix(L.n_rows, L.n_cols, L.indptr, L.indices, L.data * f)
@@ -182,22 +186,29 @@ def test_a_closed_service_is_freed_without_the_cyclic_collector(n_devices):
     gc.collect()
     gc.disable()
     try:
-        svc = SolveService(ServiceConfig(
-            method="column-block", solver_options={"nseg": 4},
-            max_workers=1, overlay_capacity=1, n_devices=n_devices,
-        ))
-        for V in variants:  # binds, evicts, reports the evictions
-            svc.solve(V, b)
-        svc.close()
-        assert svc.stats().overlay_evictions == 2
-        (pattern,) = svc.cache._entries.values()
-        (entry,) = pattern.overlays.values()
-        refs = [weakref.ref(obj) for obj in (
-            svc, pattern, pattern.template.compile(),
-            pattern.binder.compiled, entry, entry.overlay.data,
-        )]
-        del entry
-        del svc, pattern
-        assert [r() for r in refs] == [None] * len(refs)
+        for method, options in (("column-block", {"nseg": 4}),
+                                ("recursive-block", {})):
+            before = {id(o) for o in gc.get_objects()
+                      if type(o) is _Snapshot}
+            svc = SolveService(ServiceConfig(
+                method=method, solver_options=options,
+                max_workers=1, overlay_capacity=1, n_devices=n_devices,
+            ))
+            for V in variants:  # binds, evicts, reports the evictions
+                svc.solve(V, b)
+            svc.close()
+            assert svc.stats().overlay_evictions == 2
+            (pattern,) = svc.cache._entries.values()
+            (entry,) = pattern.overlays.values()
+            refs = [weakref.ref(obj) for obj in (
+                svc, pattern, pattern.template.compile(),
+                pattern.binder.compiled, entry, entry.overlay.data,
+            )]
+            del entry
+            del svc, pattern
+            assert [r() for r in refs] == [None] * len(refs), method
+            # every request copy and tracer went with the service
+            assert not [o for o in gc.get_objects()
+                        if type(o) is _Snapshot and id(o) not in before]
     finally:
         gc.enable()

@@ -49,70 +49,75 @@ def _warm_store(path, mats, **cfg):
 class TestEntryFormat:
     def test_round_trip(self):
         header = {"kind": "pattern", "structure_fp": "abc"}
-        payload = {"x": np.arange(5), "y": "data"}
-        blob = encode_entry(header, payload)
-        got_header, got_payload = decode_entry(blob)
+        decisions = {"y": "data", "n": [1, 2.5, None]}
+        blob = encode_entry(header, decisions, {"x": np.arange(5)})
+        got_header, got_decisions, arrays = decode_entry(blob)
         assert got_header["structure_fp"] == "abc"
         assert got_header["format_version"] == FORMAT_VERSION
-        assert np.array_equal(got_payload["x"], np.arange(5))
+        assert got_decisions == decisions
+        assert np.array_equal(arrays["x"], np.arange(5))
 
     def test_expect_mismatch(self):
-        blob = encode_entry({"structure_fp": "abc"}, {})
+        blob = encode_entry({"structure_fp": "abc"}, {}, {})
         with pytest.raises(StoreMismatchError):
             decode_entry(blob, expect={"structure_fp": "other"})
 
     def test_truncation_detected(self):
-        blob = encode_entry({"k": 1}, {"v": list(range(100))})
+        blob = encode_entry({"k": 1}, {"v": list(range(100))}, {})
         for cut in (2, len(MAGIC) + 2, len(blob) // 2, len(blob) - 1):
             with pytest.raises(StoreCorruptError):
                 read_header(blob[:cut])
 
     def test_checksum_damage_detected(self):
-        blob = bytearray(encode_entry({"k": 1}, {"v": list(range(100))}))
-        blob[-1] ^= 0xFF  # flip a payload byte; header still parses
+        blob = bytearray(encode_entry(
+            {"k": 1}, {"v": 1}, {"a": np.arange(100)}
+        ))
+        blob[-1] ^= 0xFF  # flip an array byte; header still parses
         read_header(bytes(blob))
         with pytest.raises(StoreCorruptError):
             decode_entry(bytes(blob))
 
     def test_arrays_are_aligned_views_of_the_entry(self):
-        """Arrays travel out of band: a load unpickles only the stream,
-        and each array is an aligned view of the entry's buffer."""
+        """A load copies no array: each is an aligned, read-only view of
+        the entry's buffer."""
         rng = np.random.default_rng(0)
-        payload = {
+        arrays = {
             "a": rng.standard_normal(100_003),
             "b": np.arange(7, dtype=np.int32),
             "c": rng.integers(0, 9, (300, 301)),
-            "s": "text",
         }
-        blob = bytearray(encode_entry({"k": 1}, payload))  # > one chunk
-        header, got = decode_entry(blob)
-        assert len(header["payload_buffers"]) == 3
+        blob = bytearray(encode_entry({"k": 1}, {"s": "text"}, arrays))
+        header, decisions, got = decode_entry(blob)
+        start = np.frombuffer(blob, np.uint8).ctypes.data
+        assert decisions == {"s": "text"}
         for key in ("a", "b", "c"):
             arr = got[key]
-            assert np.array_equal(arr, payload[key])
-            assert arr.dtype == payload[key].dtype
-            assert arr.flags.aligned and arr.flags.writeable
+            assert np.array_equal(arr, arrays[key])
+            assert arr.dtype == arrays[key].dtype
+            assert arr.flags.aligned and not arr.flags.writeable
+            assert (arr.ctypes.data - start) % 64 == 0
             assert np.shares_memory(arr, np.frombuffer(blob, np.uint8))
-        assert got["s"] == "text"
 
     def test_damage_anywhere_in_the_payload_detected(self):
-        """The checksum covers the pickle stream, the padding between
-        buffers and every buffer byte."""
-        payload = {"a": np.arange(70_001.0), "b": np.arange(3, dtype=np.int8)}
-        blob = encode_entry({"k": 1}, payload)
+        """The CRC32 covers the decisions block, the padding between
+        arrays and every array byte."""
+        arrays = {"a": np.arange(70_001.0), "b": np.arange(3, dtype=np.int8)}
+        blob = encode_entry({"k": 1}, {"d": "x"}, arrays)
         header = read_header(blob)
         start = len(blob) - header["payload_bytes"]
-        (a_lo, a_n), (b_lo, _) = header["payload_buffers"]
-        assert b_lo > a_lo + a_n  # padding between the two buffers
-        for at in (0, header["payload_pickle_bytes"] - 1, a_lo,
-                   a_lo + a_n // 2, a_lo + a_n, b_lo):
+        base = header["decisions_bytes"]
+        a_n = arrays["a"].nbytes
+        b_lo = base + a_n + (-a_n % 64)
+        assert b_lo > base + a_n  # padding between the two arrays
+        for at in (0, base // 2, base - 1, base, base + a_n // 2,
+                   base + a_n, b_lo, header["payload_bytes"] - 1):
             damaged = bytearray(blob)
             damaged[start + at] ^= 0x10
             with pytest.raises(StoreCorruptError):
                 decode_entry(damaged)
 
     def test_bad_magic_detected(self):
-        blob = b"XXXX" + encode_entry({}, {})[4:]
+        blob = b"XXXX" + encode_entry({}, {}, {})[4:]
         with pytest.raises(StoreCorruptError):
             read_header(blob)
 
@@ -200,28 +205,51 @@ class TestCorruptionDegradesToMiss:
         )
         entry.write_bytes(old)
         self._assert_cold_rebuild(path, mats, xs, mismatched=1)
-        header, _ = decode_entry(entry.read_bytes())  # checksum verified
-        assert header["format_version"] == FORMAT_VERSION == 4
+        header, _, _ = decode_entry(entry.read_bytes())  # checksum verified
+        assert header["format_version"] == FORMAT_VERSION == 5
         assert "payload_blake2b" not in header
 
     def test_format_3_entry_is_never_served_and_gc_drops_it(self, warm):
         """Format 3 named entries after BLAKE2b structure digests and
         ``str(dtype)`` keys, so its files sit under names no request
         produces any more; a format-3 header under a current name is a
-        counted mismatch.  Neither is ever served, and ``gc`` removes
-        both kinds as stale."""
+        counted mismatch.  So is a format-4 header (a pickled payload)
+        under a current name.  None is ever served, and ``gc`` removes
+        every kind as stale."""
         path, mats, xs, entry = warm
-        old = _rewrite_header(entry.read_bytes(), format_version=3)
-        stale = entry.with_name("0" * 32 + ".plan")  # an old-scheme name
-        stale.write_bytes(old)
-        entry.write_bytes(old)
-        self._assert_cold_rebuild(path, mats, xs, mismatched=1)
-        assert read_header(entry.read_bytes())["format_version"] == 4
+        stale = []
+        for version in (3, 4):
+            old = _rewrite_header(entry.read_bytes(), format_version=version)
+            stale.append(entry.with_name(f"{version}" * 32 + ".plan"))
+            stale[-1].write_bytes(old)  # an old-scheme name
+            entry.write_bytes(old)
+            self._assert_cold_rebuild(path, mats, xs, mismatched=1)
+            assert read_header(entry.read_bytes())["format_version"] == 5
         store = PlanStore(path)
         summary = store.gc()
         store.close()
-        assert summary["removed"] == 1 and summary["reasons"] == {"version": 1}
-        assert not stale.exists() and entry.exists()
+        assert summary["removed"] == 2 and summary["reasons"] == {"version": 2}
+        assert not any(p.exists() for p in stale) and entry.exists()
+
+    @pytest.mark.parametrize("where", ["decisions", "middle", "arrays", "last"])
+    def test_a_flipped_byte_anywhere_is_corrupt(self, warm, where):
+        """One flipped byte anywhere in the checksummed bytes — the
+        decisions block, its padding, an array — is counted corrupt,
+        quarantined, and answered by a cold build."""
+        path, mats, xs, entry = warm
+        blob = bytearray(entry.read_bytes())
+        header = read_header(blob)
+        start = len(blob) - header["payload_bytes"]
+        at = {
+            "decisions": start + 3,
+            "middle": start + header["payload_bytes"] // 2,
+            "arrays": start + header["decisions_bytes"] + 5,
+            "last": len(blob) - 1,
+        }[where]
+        blob[at] ^= 0x04
+        entry.write_bytes(bytes(blob))
+        self._assert_cold_rebuild(path, mats, xs, corrupt=1)
+        decode_entry(entry.read_bytes())  # rebuilt and rewritten clean
 
     def test_bit_flipped_payload_quarantined(self, warm):
         """One flipped payload bit fails the SHA-256 check: the lookup

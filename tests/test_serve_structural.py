@@ -14,8 +14,14 @@ from repro import (
     solve_triangular,
     unregister_solver,
 )
-from repro.core.executor import _ArenaPool
-from repro.core.rebind import PlanRebinder, RebindError, tracer_matrix
+from repro.core.executor import StoredTri, _ArenaPool, compile_plan
+from repro.core.rebind import (
+    PlanRebinder,
+    RebindError,
+    check_stored,
+    stored_layout,
+    tracer_matrix,
+)
 from repro.gpu.device import TITAN_RTX_SCALED
 from repro.serve import (
     BatchResult,
@@ -87,29 +93,46 @@ class TestRebinder:
         x_ref, _ = direct.solve(b)
         assert np.array_equal(x, x_ref)
 
-    def test_verified_rebinder_binds_like_the_checked_one(self):
-        """A store-loaded template skips the tracer checks its writer
-        already ran; the position maps and bound overlays are the same."""
+    def test_stored_rebinder_binds_like_the_checked_one(self):
+        """A plan compiled from the arrays a plan store keeps binds like
+        the tracer-built one: the same diagonal maps and engine gathers,
+        the same answer bit for bit, and a kernel path derived on first
+        use whose decoded maps equal the tracer build's."""
         L = random_lower(150, 0.06, seed=8)
         solver = RecursiveBlockSolver(device=TITAN_RTX_SCALED)
         prepared_t = solver.prepare(tracer_matrix(L))
         tmpl = prepared_t.plan
         compiled = prepared_t.compile()
         checked = PlanRebinder(compiled, L.nnz, L.data.dtype)
-        verified = PlanRebinder(compiled, L.nnz, L.data.dtype, verified=True)
+        layout = stored_layout(compiled)
+        stored = {i: st for i, st in enumerate(layout)
+                  if isinstance(st, StoredTri)}
+        plan = replace(tmpl, segments=[
+            replace(seg, aux=None) if i in stored else seg
+            for i, seg in enumerate(tmpl.segments)
+        ])
+        check_stored(L, plan, layout, None)
+        loaded = compile_plan(plan, TITAN_RTX_SCALED,
+                              frozen=compiled._captured(0)[0], stored=stored)
+        from_store = PlanRebinder(loaded, L.nnz, L.data.dtype)
+        overlay = from_store.bind(L.data)
+        assert all(plan.segments[i].aux is None for i in stored)
         b = np.random.default_rng(9).standard_normal(L.n_rows)
-        x, _ = prepared_t.solve(b, checked.bind(L.data))
-        y, _ = prepared_t.solve(b, verified.bind(L.data))
+        x, _ = compiled.solve(b, checked.bind(L.data))
+        y, _ = loaded.solve(b, overlay)  # the engine probe derives
         assert np.array_equal(x, y)
-        for seg in tmpl.segments:
-            data = getattr(getattr(seg, "matrix", None), "data", None)
-            if data is not None:
-                want = checked._pos_map(data)
-                got = verified._pos_map(data)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert checked._engines.keys() == verified._engines.keys()
-        for i, (want, _dmap, _bind) in checked._engines.items():
-            assert np.array_equal(verified._engines[i][0], want)
+        for (i, want), (j, got) in zip(checked._diags, from_store._diags):
+            assert i == j and np.array_equal(got, want)
+        assert checked._engines.keys() == from_store._engines.keys()
+        for i, want in checked._engines.items():
+            assert np.array_equal(from_store._engines[i], want)
+        for i in stored:
+            from_store.bind_step(i, L.data)
+            for want, got in zip(checked._aux_maps(tmpl.segments[i].aux),
+                                 from_store._aux_maps(plan.segments[i].aux)):
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
 
     def test_rebinder_rejects_dtype_mismatch(self):
         L = random_lower(40, 0.2, seed=7)

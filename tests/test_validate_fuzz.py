@@ -202,3 +202,40 @@ class TestFuzzCli:
     def test_cli_bad_replay_token_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["fuzz", "--replay", "not-a-token"])
+
+
+class TestStoreArm:
+    """The ``via="store"`` arm: persist, then answer from a fresh service
+    that loads the entry instead of planning."""
+
+    CASES = [
+        FuzzCase("hypersparse", 2, 70),               # seed 2: 1 device
+        FuzzCase("chain", 3, 50, upper=True),         # seed 3: 3 devices
+        FuzzCase("grid2d", 5, 64, n_rhs=3, b_dtype="int32"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.token())
+    @pytest.mark.parametrize("method", ["levelset", "recursive-block"])
+    def test_arm_passes(self, case, method):
+        failures = run_case(
+            case, [method], check_compiled=False, check_dist=False,
+            check_fused=False, check_mutation=False,
+        )
+        assert not failures, [f.describe() for f in failures]
+
+    def test_a_store_that_never_loads_is_caught_minimized_and_replayed(
+        self, monkeypatch
+    ):
+        from repro.serve.service import SolveService
+
+        monkeypatch.setattr(SolveService, "_load_pattern",
+                            lambda self, *args: None)
+        case = FuzzCase("uniform", 4, 64, upper=True, n_rhs=3)
+        failures = run_case(case, ["levelset"])
+        assert failures and {f.via for f in failures} == {"store"}
+        assert "built 1 pattern(s)" in failures[0].message
+        small = minimize_failure(failures[0])
+        assert small.size <= 16 and small.n_rhs == 1 and not small.upper
+        assert run_case(FuzzCase.from_token(small.token()), ["levelset"],
+                        check_compiled=False, check_dist=False,
+                        check_fused=False, check_mutation=False)
