@@ -144,8 +144,9 @@ def check_plan(plan: ExecutionPlan, L=None, *, context: str = "") -> None:
             )
     if plan.perm is not None:
         perm = np.asarray(plan.perm)
-        if perm.shape != (n,) or not np.array_equal(
-            np.sort(perm), np.arange(n)
+        if perm.shape != (n,) or n and not (
+            perm.dtype.kind in "iu" and 0 <= perm.min() and perm.max() < n
+            and (np.bincount(perm, minlength=n) == 1).all()
         ):
             raise ValidationError(
                 f"{where}plan.perm is not a permutation of [0, {n})",
