@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.solver import SOLVERS, TriangularSolver
+from repro.core.solver import SOLVERS, PreparedSolve, TriangularSolver
 from repro.errors import NotTriangularError
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import (
@@ -139,9 +139,9 @@ def solve_triangular(
     check:
         When true, verify plan well-formedness after ``prepare()`` (the
         segments must tile ``[0, n)``, conserve nnz, and respect the
-        solved-prefix dependency order) and the residual ``‖A x − b‖``
-        after the solve.  Violations raise
-        :class:`repro.errors.ValidationError`.
+        solved-prefix dependency order), each SuperLU engine against its
+        kernel before the solve, and the residual ``‖A x − b‖`` after
+        it.  Violations raise :class:`repro.errors.ValidationError`.
     check_tol:
         Relative residual tolerance for ``check=True`` (default:
         :data:`repro.validate.DEFAULT_RESIDUAL_TOL`).
@@ -206,11 +206,13 @@ def solve_triangular(
 
 
 def _checked_solve(prepared, L, rhs, method, check):
-    """Plan-invariant check + solve; shared by the traced and plain paths."""
+    """Plan and engine checks + solve; shared by the traced and plain paths."""
     if check:
         from repro.validate.invariants import check_plan
 
         plan = getattr(prepared, "plan", None)
         if plan is not None:
             check_plan(plan, L, context=method)
+        if isinstance(prepared, PreparedSolve):
+            prepared.compile().probe_engines(rhs.dtype)
     return prepared.solve(rhs)

@@ -298,6 +298,7 @@ def cmd_fuzz(args) -> int:
     from repro.validate.fuzz import (
         FuzzCase,
         broken_solver,
+        engine_rule_self_test,
         mutation_self_test,
         run_case,
         run_fuzz,
@@ -348,23 +349,33 @@ def cmd_fuzz(args) -> int:
             return 1
         print(report.render())
         print("self-test OK: the harness catches a deliberately broken kernel")
-        # ...and its mutated-after-admission arm catches a service that
-        # digests the admission snapshot but binds the caller's array.
-        report = mutation_self_test(
-            rounds=min(args.rounds, 5),
-            seed=args.seed,
-            families=families,
-            base_size=args.size,
-            tol=args.tol,
-            device=device,
-        )
-        if report.ok:
-            print("SELF-TEST FAILED: a service binding the caller's live "
-                  "values was not caught")
-            return 1
-        print(report.render())
-        print("self-test OK: the mutation arm catches a service that binds "
-              "values changed after submit or solve admitted them")
+        # ...its mutated-after-admission arm catches a service that
+        # digests the admission snapshot but binds the caller's array,
+        # and its compiled arm an engine rule that lets a SuperLU engine
+        # serve what the accuracy probe rejects.
+        for self_test, stand_in, caught in (
+            (mutation_self_test,
+             "a service binding the caller's live values",
+             "the mutation arm catches a service that binds values "
+             "changed after submit or solve admitted them"),
+            (engine_rule_self_test,
+             "an engine rule that trusts single precision",
+             "the compiled arm catches an engine rule that trusts "
+             "single precision"),
+        ):
+            report = self_test(
+                rounds=min(args.rounds, 5),
+                seed=args.seed,
+                families=families,
+                base_size=args.size,
+                tol=args.tol,
+                device=device,
+            )
+            if report.ok:
+                print(f"SELF-TEST FAILED: {stand_in} was not caught")
+                return 1
+            print(report.render())
+            print(f"self-test OK: {caught}")
         return 0
 
     report = run_fuzz(

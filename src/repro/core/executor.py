@@ -33,19 +33,18 @@ report is a pure function of ``(aux, device, n_rhs)``.
   as the fallback for duplicate entries and exact-zero products.
   Whether a segment uses the engine is decided from its structure alone
   (:func:`engine_rule`), so every plan over one pattern chooses alike
-  and nothing is timed; a chosen engine must still *reproduce the
-  kernel's result on the values it solves*, or the kernel's
-  ``solve_numeric`` runs unchanged.  With SciPy absent everything still
-  works on the kernel path.
+  and nothing is timed; the engine then serves only finite float64
+  values in a float64 work buffer, or the kernel's ``solve_numeric``
+  runs unchanged (the accuracy probe this stands for runs only under
+  ``check=True``, :meth:`CompiledPlan.probe_engines`).  With SciPy
+  absent everything still works on the kernel path.
 
 Steps hold no values: every solve reads them from an :class:`Overlay`,
 the arrays one values vector puts on the plan's steps.  A plan built on
 real values solves a default overlay of its own arrays; a pattern
 template built on tracer values (:mod:`repro.core.rebind`) solves only
 the overlays :class:`~repro.core.rebind.PlanRebinder` binds onto it, so
-one compiled plan serves every values vector of its pattern.  An overlay
-of value bytes an earlier overlay already verified adopts its verdicts
-(:meth:`CompiledPlan.adopt_engine_verdicts`) instead of probing again.
+one compiled plan serves every values vector of its pattern.
 
 Single-RHS, multi-RHS, plan-order and schedule-order solves, observed or
 not, all run one step loop (:meth:`CompiledPlan._execute`), so they are
@@ -89,9 +88,12 @@ try:  # pragma: no cover - exercised only where SciPy is installed
 except Exception:  # pragma: no cover - SciPy absent or layout changed
     _HAVE_SUPERLU = False
 
-#: engines must reproduce the kernel's probe solution to this relative
-#: tolerance or the segment stays on the kernel path
+#: under ``check=True`` engines must reproduce the kernel's probe solution
+#: to this relative tolerance or the segment stays on the kernel path
 ENGINE_VERIFY_RTOL = 1e-9
+#: value and work dtypes a SuperLU engine serves: the probe rejected every
+#: float32 factor and float32 work buffer it met
+ENGINE_DTYPES = (np.dtype(np.float64),)
 #: segments smaller than this never get a SuperLU engine (the per-call
 #: library overhead exceeds any win on a handful of rows)
 ENGINE_MIN_ROWS = 16
@@ -305,8 +307,7 @@ class _TriStep:
     Whether it may use a SuperLU engine is decided at construction by
     :func:`engine_rule`, from features the segment already carries.  The
     step holds no values: per overlay and work dtype, the engine's
-    values are built on first use and kept only if they pass the
-    accuracy probe on that overlay's values.
+    values are built on first use if the engine serves them.
 
     A step compiled from a :class:`StoredTri` (``stored``) takes its
     engine layout from it; its segment's kernel-path state (the
@@ -374,9 +375,30 @@ class _TriStep:
         return ov.source.engine_values(i, ov.data, ov.diags[i], compute)
 
     def _build_engine(self, ov: "Overlay", i: int, work_dtype: np.dtype):
-        """Build engine values of overlay ``ov`` for this work dtype and
-        check they reproduce the kernel's result on those values; None
-        on failure."""
+        """Engine values of overlay ``ov`` at this work dtype if the engine
+        serves them (values and work buffer in :data:`ENGINE_DTYPES`,
+        every engine value finite), else None: the kernel path."""
+        if self.dtype not in ENGINE_DTYPES or work_dtype not in ENGINE_DTYPES:
+            return None
+        try:
+            vals = self._engine_values(ov, i, work_dtype)
+        except Exception:
+            return None
+        # the factor scaled by its inverse diagonal: a NaN or inf in the
+        # factor, or a scaling that overflows, shows here
+        return vals if np.isfinite(vals[0]).all() else None
+
+    def _engine_for(self, ov: "Overlay", i: int, work_dtype):
+        engines = ov.engines[i]
+        if work_dtype not in engines:
+            engines[work_dtype] = self._build_engine(
+                ov, i, np.dtype(work_dtype)
+            )
+        return engines[work_dtype]
+
+    def probe(self, ov: "Overlay", i: int, work_dtype: np.dtype) -> bool:
+        """Whether the engine reproduces the kernel's solution of a probe
+        right-hand side over ``ov``'s values, to ENGINE_VERIFY_RTOL."""
         try:
             vals = self._engine_values(ov, i, work_dtype)
             n = self.hi - self.lo
@@ -390,19 +412,9 @@ class _TriStep:
             )
             scale = max(1.0, float(np.max(np.abs(ref))) if n else 0.0)
             err = float(np.max(np.abs(got - ref))) if n else 0.0
-            if not np.isfinite(err) or err > ENGINE_VERIFY_RTOL * scale:
-                return None
-            return vals
         except Exception:
-            return None
-
-    def _engine_for(self, ov: "Overlay", i: int, work_dtype):
-        engines = ov.engines[i]
-        if work_dtype not in engines:  # stored once the probe finished
-            engines[work_dtype] = self._build_engine(
-                ov, i, np.dtype(work_dtype)
-            )
-        return engines[work_dtype]
+            return False
+        return bool(np.isfinite(err) and err <= ENGINE_VERIFY_RTOL * scale)
 
     # -- hot path ----------------------------------------------------- #
     def run(self, work: np.ndarray, out: np.ndarray,
@@ -547,8 +559,8 @@ class Overlay:
     that the plan's steps do not hold.
 
     Per step ``i``, ``engines[i]`` maps a work dtype to its engine values
-    (:meth:`_GstrsEngine.values`), or to None once that engine was
-    rejected — a dict only for steps whose structure chose an engine;
+    (:meth:`_GstrsEngine.values`), or to None where the step takes its
+    kernel path — a dict only for steps whose structure chose an engine;
     ``bound[i]`` is what the step's kernel path runs on (auxiliary data,
     an SpMV matrix, a live step's segment); ``diags[i]`` is a triangular
     step's diagonal, gathered and checked once.  ``source`` (a
@@ -727,61 +739,35 @@ class CompiledPlan:
                     self._own = own
         return self._own
 
-    # -- engine verdicts ---------------------------------------------- #
-    def engine_verdicts(self, resolve=None,
-                        overlay: Overlay | None = None) -> tuple:
-        """Per step, the engine verdicts ``overlay`` (default: the plan's
-        own values) has settled so far, as ``{work dtype: keep}``
-        (``None`` for a step that never tries an engine).
-
-        With ``resolve``, every step first settles that work dtype,
-        running whatever probe it still owes.  Otherwise a verdict
-        another thread is still probing is simply absent: a step stores
-        a verdict only once its probe has finished.
-        """
+    # -- engines ------------------------------------------------------ #
+    def engines_served(self, b_dtype=np.float64,
+                       overlay: Overlay | None = None) -> tuple:
+        """Per step, whether its engine serves ``overlay`` (default: the
+        plan's own values) for a ``b_dtype`` right-hand side, decided
+        now if no solve has yet (None: no engine)."""
         ov = self._overlay(overlay)
+        dt = self._work_dtype(np.dtype(b_dtype))
+        return tuple(
+            None if ov.engines[i] is None
+            else step._engine_for(ov, i, dt) is not None
+            for i, step in enumerate(self._steps)
+        )
+
+    def probe_engines(self, b_dtype, overlay: Overlay | None = None
+                      ) -> tuple:
+        """Probe every engine of ``overlay`` for a ``b_dtype`` right-hand
+        side, pinning the kernel path where rejected; per step, the
+        probe's verdict (None: no engine)."""
+        ov = self._overlay(overlay)
+        dt = self._work_dtype(np.dtype(b_dtype))
         out = []
         for i, step in enumerate(self._steps):
             engines = ov.engines[i]
-            if engines is None:
-                out.append(None)
-                continue
-            if resolve is not None:
-                step._engine_for(ov, i, np.dtype(resolve))
-            # one C-level copy, safe against a concurrent solve adding
-            # a verdict while we read
-            engines = engines.copy()
-            out.append({dt: e is not None for dt, e in engines.items()})
+            keep = None if engines is None else step.probe(ov, i, dt)
+            if keep is False:
+                engines[dt] = None
+            out.append(keep)
         return tuple(out)
-
-    def adopt_engine_verdicts(self, verdicts,
-                              overlay: Overlay | None = None) -> None:
-        """Install verdicts captured by :meth:`engine_verdicts` into
-        ``overlay`` without re-running the accuracy probe.
-
-        ``verdicts`` must come from an earlier overlay of the same
-        pattern bound to the same value bytes (one evicted here, or the
-        plan-store writer's first overlay): engine values rebuilt from
-        the same bytes solve identically, so a probe would recompute a
-        deterministic check.  ``keep=False`` pins the kernel path;
-        ``keep=True`` builds the engine values unless that fails.
-        """
-        ov = self._overlay(overlay)
-        for i, (step, decided) in enumerate(zip(self._steps, verdicts)):
-            engines = ov.engines[i]
-            if not decided or engines is None:
-                continue
-            for dt, keep in decided.items():
-                dt = np.dtype(dt)
-                if dt in engines:
-                    continue
-                vals = None
-                if keep:
-                    try:
-                        vals = step._engine_values(ov, i, dt)
-                    except Exception:
-                        pass  # a failed build pins the kernel path
-                engines[dt] = vals
 
     # -- frozen reports ----------------------------------------------- #
     def _capture(self, k: int) -> tuple[list[KernelReport], SolveReport]:

@@ -55,7 +55,6 @@ __all__ = [
     "RebindError",
     "tracer_matrix",
     "PlanRebinder",
-    "remap_verdicts",
     "stored_layout",
     "check_stored",
 ]
@@ -95,17 +94,6 @@ def _bind_segment(seg, bind, data):
     if isinstance(seg, TriSegment):
         return replace(seg, aux=bind(data))
     return replace(seg, matrix=bind(data))
-
-
-def remap_verdicts(verdicts: tuple, src, dst) -> tuple:
-    """Engine verdicts indexed by the segments of plan ``src``, re-indexed
-    onto plan ``dst``, which holds the same triangular segments in the
-    same order (:func:`repro.dist.tile_plan` splits only SpMV segments,
-    and those never carry a verdict)."""
-    tri = iter([v for v, seg in zip(verdicts, src.segments)
-                if isinstance(seg, TriSegment)])
-    return tuple(next(tri) if isinstance(seg, TriSegment) else None
-                 for seg in dst.segments)
 
 
 def _prep_of(aux) -> PreparedLower:
@@ -281,15 +269,13 @@ class PlanRebinder:
     # ------------------------------------------------------------------ #
     # Binding
     # ------------------------------------------------------------------ #
-    def bind(self, data: np.ndarray, verdicts: tuple | None = None
-             ) -> Overlay:
+    def bind(self, data: np.ndarray) -> Overlay:
         """An overlay of ``data`` on the compiled plan.
 
         Every diagonal is gathered and checked once (the tracer build
         validated *its* diagonal; a zero pivot in the real values must
-        still raise) and every SpMV matrix bound.  ``verdicts`` (see
-        :meth:`CompiledPlan.adopt_engine_verdicts`) build the kept
-        engines' values now.  The rest is built on first use from
+        still raise) and every SpMV matrix bound.  The rest — engine
+        values, kernel-path operands — is built on first use from
         ``data``, which the overlay keeps: do not modify it afterwards.
         """
         data = np.asarray(data)
@@ -298,8 +284,7 @@ class PlanRebinder:
                 f"data must have shape ({self.nnz},) dtype {self.dtype}, "
                 f"got {data.shape} {data.dtype}"
             )
-        compiled = self.compiled
-        ov = Overlay(compiled, self, data)
+        ov = Overlay(self.compiled, self, data)
         diags = ov.diags
         for i, dmap in self._diags:
             diag = data.take(dmap)
@@ -307,8 +292,6 @@ class PlanRebinder:
             diags[i] = diag
         for i, bind in self._spmv:
             ov.bound[i] = bind(data)
-        if verdicts:
-            compiled.adopt_engine_verdicts(verdicts, ov)
         return ov
 
 

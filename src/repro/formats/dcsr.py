@@ -86,8 +86,16 @@ class DCSRMatrix:
         )
 
     def validate(self) -> None:
+        """Raise :class:`SparseFormatError` if structural invariants fail
+        (those :meth:`CSRMatrix.validate` checks, over the active rows)."""
+        if self.n_rows < 0 or self.n_cols < 0:
+            raise SparseFormatError("negative dimension")
         if len(self.indptr) != len(self.row_ids) + 1:
             raise SparseFormatError("DCSR indptr must have len(row_ids)+1 entries")
+        if self.indptr[0] != 0:
+            raise SparseFormatError("DCSR indptr[0] must be 0")
+        if len(self.indices) != len(self.data):
+            raise SparseFormatError("DCSR indices and data length mismatch")
         if len(self.row_ids):
             if np.any(np.diff(self.row_ids) <= 0):
                 raise SparseFormatError("DCSR row_ids must be strictly increasing")
@@ -95,7 +103,7 @@ class DCSRMatrix:
                 raise SparseFormatError("DCSR row id out of bounds")
             if np.any(np.diff(self.indptr) <= 0):
                 raise SparseFormatError("DCSR must not store empty rows")
-        if len(self.indptr) and self.indptr[-1] != len(self.indices):
+        if self.indptr[-1] != len(self.indices):
             raise SparseFormatError("DCSR indptr[-1] must equal nnz")
         if len(self.indices):
             if self.indices.min() < 0 or self.indices.max() >= self.n_cols:

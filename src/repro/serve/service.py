@@ -55,7 +55,6 @@ from repro.core.rebind import (
     PlanRebinder,
     RebindError,
     check_stored,
-    remap_verdicts,
     stored_layout,
     tracer_matrix,
 )
@@ -103,12 +102,6 @@ __all__ = [
 #: the triangular kernels a plan-store entry may name
 _TRI_KERNELS = {**SPTRSV_KERNELS, SerialKernel.name: SerialKernel}
 
-#: values digests per cached pattern whose engine verdicts outlive
-#: their overlay's eviction (LRU): binding one again adopts them instead
-#: of re-running the accuracy probe
-VERDICT_MEMO_CAPACITY = 32
-
-
 class ServiceTimeoutError(ServiceError):
     """A request's deadline expired before its solve could run."""
 
@@ -139,8 +132,9 @@ class ServiceConfig:
     history_limit: int = 100_000
     #: options forwarded to the default method's constructor
     solver_options: dict = field(default_factory=dict)
-    #: verify plan well-formedness after prepare() and the residual
-    #: ``‖A x − b‖`` after every solve (raises ValidationError)
+    #: verify plan well-formedness after prepare(), every SuperLU engine
+    #: against its kernel before a solve and the residual ``‖A x − b‖``
+    #: after it (raises ValidationError)
     check: bool = False
     #: relative residual tolerance used when ``check`` is on
     check_tol: float = DEFAULT_RESIDUAL_TOL
@@ -280,10 +274,6 @@ class _PatternEntry:
     (``template_dist``).  Patterns whose value flow cannot be traced
     (external prepared types, opaque kernels) fall back to one full
     build per values vector — same cache shape, no sharing.
-
-    A rebindable pattern also remembers, per values digest, the engine
-    verdicts an evicted overlay verified (``verdicts``), so values that
-    recur after their overlay was evicted skip the accuracy probe.
     """
 
     method: str
@@ -304,10 +294,6 @@ class _PatternEntry:
     build_prep_s: float = 0.0
     rebind_prep_s: float = 0.0
     overlays: OrderedDict = field(default_factory=OrderedDict)
-    #: values digest -> CompiledPlan.engine_verdicts() its overlay
-    #: verified (in the binder's step order), LRU-bounded by
-    #: VERDICT_MEMO_CAPACITY
-    verdicts: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _flights: dict = field(default_factory=dict)
 
@@ -324,40 +310,12 @@ class _PatternEntry:
                 evicted.append(self.overlays.popitem(last=False))
         if not evicted:
             return
-        for old_vfp, old in evicted:
-            self._remember(old_vfp, old)
         # Overlay-capacity thrash (the revalued-workload failure mode)
         # must be diagnosable: report evictions to the owning service
         # outside our lock.
         notify = self.evict_cb() if self.evict_cb is not None else None
         if notify is not None:
             notify(len(evicted))
-
-    def _remember(self, vfp: str, entry: _PlanEntry) -> None:
-        """Keep the engine verdicts ``entry`` has settled for ``vfp``.
-
-        The overlay may still be solving on another worker; only
-        verdicts whose probe already finished are captured.
-        """
-        if not self.rebindable:
-            return
-        verdicts = self.binder.compiled.engine_verdicts(
-            overlay=entry.overlay
-        )
-        if not any(verdicts):
-            return
-        with self._lock:
-            self.verdicts[vfp] = verdicts
-            self.verdicts.move_to_end(vfp)
-            while len(self.verdicts) > VERDICT_MEMO_CAPACITY:
-                self.verdicts.popitem(last=False)
-
-    def _verdicts_for(self, vfp: str) -> tuple | None:
-        with self._lock:
-            verdicts = self.verdicts.get(vfp)
-            if verdicts is not None:
-                self.verdicts.move_to_end(vfp)
-        return verdicts
 
     def overlay_for(
         self, vfp: str, A: CSRMatrix, service: "SolveService"
@@ -388,7 +346,7 @@ class _PatternEntry:
                     return entry, True
                 continue  # the builder failed; this waiter takes over
             try:
-                entry = service._build_overlay(self, A, vfp)
+                entry = service._build_overlay(self, A)
             except BaseException:
                 with self._lock:
                     self._flights.pop(vfp, None)
@@ -970,7 +928,7 @@ class SolveService:
             # The first values variant pays the full (simulated)
             # plan-build cost; later variants pay only the rebind.
             entry = self._build_overlay(
-                pattern, A, vfp, prep_time_s=pattern.build_prep_s
+                pattern, A, prep_time_s=pattern.build_prep_s
             )
         pattern._install(vfp, entry)
         return pattern
@@ -1028,7 +986,7 @@ class SolveService:
         if pattern is not None:
             # Bind the *incoming* values as the first overlay: a warm
             # start pays one gather-rebind, never the Table 5 analysis.
-            first = self._build_overlay(pattern, A, job.vfp)
+            first = self._build_overlay(pattern, A)
             pattern._install(job.vfp, first)
         return pattern
 
@@ -1043,7 +1001,7 @@ class SolveService:
 
     def _pattern_from_entry(self, A, decisions: dict,
                             arrays: dict) -> _PatternEntry:
-        """A live :class:`_PatternEntry` from a format-5 entry's
+        """A live :class:`_PatternEntry` from a format-6 entry's
         decisions and arrays (the schema :meth:`_pattern_entry` writes).
 
         Every stored array is checked against ``A``'s own structure
@@ -1125,28 +1083,18 @@ class SolveService:
             build_prep_s=float(decisions["build_prep_s"]),
             rebind_prep_s=float(decisions["rebind_prep_s"]),
         )
-        # The writer's first overlay, verified on its real values: the
-        # same memo an evicted overlay fills, so one adoption path.  The
-        # store indexes verdicts by the template plan's segments.
-        for vfp, verdicts in decisions["verdicts"].items():
-            pattern.verdicts[str(vfp)] = remap_verdicts(tuple(
-                {np.dtype(dt): bool(keep) for dt, keep in decided.items()}
-                if decided else None
-                for decided in verdicts
-            ), plan, binder.plan)
         return pattern
 
     @staticmethod
-    def _pattern_entry(pattern: _PatternEntry, A, vfp: str) -> tuple:
+    def _pattern_entry(pattern: _PatternEntry, A) -> tuple:
         """``(decisions, arrays)`` of a tracer-built pattern of ``A``, the
-        format-5 entry schema: per segment its bounds and kernel, the
+        format-6 entry schema: per segment its bounds and kernel, the
         engine-rule feature ``nlevels`` and the arrays of
         :func:`repro.core.rebind.stored_layout` (a triangular step's
         factor structure, CSC for an engine step, and data positions; an
         SpMV matrix's structure and data positions); the template and
-        mirror permutations; the frozen and preprocess reports; the
-        sharded schedule's placement; and the verdicts the first
-        overlay (values digest ``vfp``) settled.  Raises
+        mirror permutations; the frozen and preprocess reports; and the
+        sharded schedule's placement.  Raises
         :class:`RebindError` for a plan that cannot be stored as data,
         and for one whose arrays a loader would refuse (a pattern that
         repeats an entry, say): the checks are the loader's."""
@@ -1154,20 +1102,13 @@ class SolveService:
         plan, compiled = template.plan, template.compile()
         layout = stored_layout(compiled)
         check_stored(A, plan, layout, pattern.perm)
-        binder = pattern.binder
-        # Settle the first overlay's engines now, on its real values: a
-        # loader adopts only verdicts these very bytes have passed.  The
-        # store indexes them by the template plan's segments.
-        verdicts = remap_verdicts(binder.compiled.engine_verdicts(
-            resolve=binder.dtype, overlay=pattern.overlays[vfp].overlay
-        ), binder.plan, plan)
         arrays: dict = {}
         if plan.perm is not None:
             arrays["perm"] = plan.perm
         if pattern.perm is not None:
             arrays["mirror"] = pattern.perm
         # positions below 2**31 are stored in half the bytes
-        pos_dtype = np.int32 if binder.nnz < 2**31 else np.int64
+        pos_dtype = np.int32 if A.nnz < 2**31 else np.int64
         segments = []
         for i, (seg, st) in enumerate(zip(plan.segments, layout)):
             if isinstance(seg, TriSegment):
@@ -1202,11 +1143,6 @@ class SolveService:
                 pattern.template_dist.placement()
                 if pattern.template_dist is not None else None
             ),
-            "verdicts": {vfp: [
-                {np.dtype(dt).str: keep for dt, keep in decided.items()}
-                if decided else None
-                for decided in verdicts
-            ]},
         }
         return decisions, arrays
 
@@ -1232,14 +1168,13 @@ class SolveService:
         try:
             if not pattern.rebindable:
                 raise RebindError("per-values plans are not stored")
-            decisions, arrays = self._pattern_entry(pattern, A, job.vfp)
+            decisions, arrays = self._pattern_entry(pattern, A)
         except RebindError:
             self.store.count_skipped()
             return
         header = {
             "kind": "pattern",
             "structure_fp": job.sfp,
-            "values_fp": job.vfp,
             "dtype": str(A.data.dtype),
             "method": method,
             "device": cfg.device.name,
@@ -1257,21 +1192,19 @@ class SolveService:
         self,
         pattern: _PatternEntry,
         A: CSRMatrix,
-        vfp: str,
         *,
         prep_time_s: float | None = None,
     ) -> _PlanEntry:
-        """Bind ``A``'s values (digest ``vfp``) onto the pattern plan (or,
-        for patterns that could not be traced, run a full per-values
-        build).  Values the pattern already verified adopt their
-        remembered engine verdicts; new values probe lazily, on their
-        first solve."""
+        """Bind ``A``'s values onto the pattern plan (or, for patterns
+        that could not be traced, run a full per-values build).  Each
+        engine step decides at the overlay's first solve whether its
+        engine serves these values."""
         if not pattern.rebindable:
             return self._build_entry(
                 A, pattern.requested_method,
                 "L" if pattern.perm is None else "U",
             )
-        overlay = pattern.binder.bind(A.data, pattern._verdicts_for(vfp))
+        overlay = pattern.binder.bind(A.data)
         if self.config.check:
             # the rebound values solve on the template's segments, with
             # a loaded template's kernel-path state derived and checked
@@ -1599,6 +1532,11 @@ class SolveService:
             args = (B[:, 0] if total == 1 else B,) + (
                 () if entry.overlay is None else (entry.overlay,)
             )
+            if cfg.check and isinstance(entry.prepared, PreparedSolve):
+                # the accuracy probe the engine rule stands for
+                compiled = (entry.prepared.compile() if entry.dist is None
+                            else entry.dist.compiled)
+                compiled.probe_engines(B.dtype, entry.overlay)
             if obs is None:
                 Y, report = solve(*args)
             else:

@@ -10,7 +10,7 @@ et al. 2025): pattern-level plan state is stored under its structure
 fingerprint, and a fresh service warms from disk instead of replanning.
 
 An entry is data, never objects: one JSON block of decisions plus named
-arrays.  File format 5 (one entry per file, named
+arrays.  File format 6 (one entry per file, named
 ``<blake2b(key)>.plan``)::
 
     MAGIC "RPS1" | u32 header length | header JSON | payload
@@ -18,9 +18,9 @@ arrays.  File format 5 (one entry per file, named
 
 The header JSON is padded with spaces to a 64-byte boundary and carries
 everything needed to judge an entry without reading its payload: the
-format version, the library version that wrote it, the structure (and
-first values) fingerprints, method, dtype, device, the payload's byte
-length and ``zlib.crc32``, and the length of the decisions block.  The
+format version, the library version that wrote it, the structure
+fingerprint, method, dtype, device, the payload's byte length and
+``zlib.crc32``, and the length of the decisions block.  The
 decisions block names each array with its offset (from the end of the
 block), dtype and shape.  A load reads the file into one buffer, checks
 the CRC32 over the whole payload (decisions, padding and array bytes),
@@ -41,9 +41,9 @@ directory) and, through :meth:`PlanStore.put`, encoded synchronously but
 flushed to disk by a background writer thread so the building request
 does not wait on the filesystem.
 
-Entries of earlier formats (4 and before pickled their payload) load as
-counted mismatches, are rebuilt, and ``repro store gc`` removes them as
-stale.
+Entries of earlier formats (4 and before pickled their payload; 5 also
+stored the first overlay's engine verdicts) load as counted mismatches,
+are rebuilt, and ``repro store gc`` removes them as stale.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ MAGIC = b"RPS1"
 #: old entries then load as clean misses, never as garbage plans
 #: (4: SHA-256 digest keys and ``dtype.str`` value dtypes, a pickled
 #: payload; 5: JSON decisions plus named arrays under one CRC32, the
-#: executor's arrays instead of the planner's objects)
-FORMAT_VERSION = 5
+#: executor's arrays instead of the planner's objects; 6: no verdicts)
+FORMAT_VERSION = 6
 #: array buffers start at multiples of this many bytes from the start of
 #: the entry (the header JSON is padded with spaces to one)
 _ALIGN = 64

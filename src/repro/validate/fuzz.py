@@ -14,14 +14,15 @@ residual ``‖A x − b‖``.  One service arm mutates the caller's matrix
 after ``submit`` or ``solve`` admitted it and checks that neither that
 request nor a later clean one sees the new values; another persists the
 case through a plan store and answers it again from a fresh service
-that loads the entry instead of planning.
+that loads the entry instead of planning; the compiled arm holds the
+SuperLU engine rule to the accuracy probe it stands for.
 
 Failures are *minimized* (shrink the system, drop the RHS block, drop
 the mirror) and reported with a self-contained reproduction command, so
 a fuzz hit becomes a regression test in one paste.  A deliberately
 broken solver (:func:`broken_solver`, a sign flip) is shipped for
 testing the harness itself and for the ``repro fuzz --self-test`` CLI
-path.
+path, as are wrong services and engine rules.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ __all__ = [
     "BrokenSignFlipSolver",
     "BROKEN_METHOD",
     "mutation_self_test",
+    "single_precision_engines",
+    "engine_rule_self_test",
 ]
 
 #: salt mixed into every case seed so fuzz streams don't collide with
@@ -288,7 +291,9 @@ class FuzzFailure:
 
     case: FuzzCase
     method: str
-    kind: str  # "mismatch" | "residual" | "invariant" | "exception" | "dtype"
+    #: "mismatch" | "residual" | "invariant" | "exception" | "dtype"
+    #: | "engine-rule"
+    kind: str
     #: "direct" | "service" | "compiled" | "dist" | "fused" | "mutated"
     #: | "store"
     via: str = "direct"
@@ -403,7 +408,7 @@ def _method_solve(
 
 def _compiled_solve(
     A, b: np.ndarray, method: str, device: DeviceModel
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, list[int]] | None:
     """Run one case through the :class:`~repro.core.executor.CompiledPlan`
     zero-allocation executor; ``None`` if the method's prepared form does
     not expose a plan to compile.
@@ -411,6 +416,7 @@ def _compiled_solve(
     The case is solved twice: the second call reuses the first one's
     pooled arena, so a state leak (stale work/out buffers bleeding
     between solves) shows up as the two disagreeing bit for bit.
+    Also returns the steps whose engine decision the probe disputes.
     """
     solver = SOLVERS[method](device=device)
     if is_lower_triangular(A):
@@ -431,11 +437,14 @@ def _compiled_solve(
             "compiled executor is not deterministic across arena reuse: "
             f"max diff {float(np.max(np.abs(x - x2))):.3e}"
         )
+    served = compiled.engines_served(b.dtype)
+    probed = compiled.probe_engines(b.dtype)
+    disagree = [i for i, (s, p) in enumerate(zip(served, probed)) if s != p]
     if perm is not None:
         out = np.empty_like(x)
         out[perm] = x
         x = out
-    return x
+    return x, disagree
 
 
 def _dist_solve(
@@ -787,6 +796,17 @@ def run_case(
             ))
         else:
             if x is not None:
+                x, disagree = x
+                if disagree:
+                    failures.append(FuzzFailure(
+                        case=case, method=cmethod, kind="engine-rule",
+                        via="compiled",
+                        message=(
+                            f"steps {disagree}: the engine rule and the "
+                            "accuracy probe disagree on whether the "
+                            f"SuperLU engine serves a {case.b_dtype} RHS"
+                        ),
+                    ))
                 agree, err = _compare(x, x_ref, ctol)
                 if not agree:
                     failures.append(FuzzFailure(
@@ -1011,7 +1031,7 @@ def run_fuzz(
         for r in range(rounds):
             case = sample_case(seed, r, families, base_size)
             report.n_cases += 1
-            report.n_checks += len(methods) + (1 if service else 0) + 5
+            report.n_checks += len(methods) + (1 if service else 0) + 6
             failures = run_case(
                 case,
                 methods,
@@ -1112,10 +1132,30 @@ def _live_bind_service():
             self._live = A
             return super().solve(A, b, **kwargs)
 
-        def _build_overlay(self, pattern, A, vfp, **kwargs):
-            return super()._build_overlay(pattern, self._live, vfp, **kwargs)
+        def _build_overlay(self, pattern, A, **kwargs):
+            return super()._build_overlay(pattern, self._live, **kwargs)
 
     return LiveBindService
+
+
+def _arm_self_test(rounds: int, seed: int, method: str, families,
+                   base_size: int, tol: float, device: DeviceModel,
+                   case_fields: dict, **arms) -> FuzzReport:
+    """Run ``rounds`` sampled cases (with ``case_fields`` replaced)
+    through ``method`` and the ``run_case`` arms ``arms`` select."""
+    t0 = monotonic()
+    families = list(families) if families is not None else list(FAMILIES)
+    report = FuzzReport(
+        rounds=rounds, seed=seed, methods=[method], families=families
+    )
+    for r in range(rounds):
+        case = replace(sample_case(seed, r, families, base_size),
+                       **case_fields)
+        report.n_cases += 1
+        report.n_checks += 1
+        report.failures.extend(run_case(case, [method], device, tol, **arms))
+    report.elapsed_s = monotonic() - t0
+    return report
 
 
 def mutation_self_test(
@@ -1131,20 +1171,51 @@ def mutation_self_test(
     """Run only the mutated-after-admission arm against a service that binds
     the caller's live values; a harness that can catch the race reports
     failures here (``repro fuzz --self-test`` requires it)."""
-    t0 = monotonic()
-    families = list(families) if families is not None else list(FAMILIES)
-    report = FuzzReport(
-        rounds=rounds, seed=seed, methods=[method], families=families
+    return _arm_self_test(
+        rounds, seed, method, families, base_size, tol, device, {},
+        check_compiled=False, check_dist=False, check_fused=False,
+        check_store=False, mutation_service=_live_bind_service(),
     )
-    stand_in = _live_bind_service()
-    for r in range(rounds):
-        case = sample_case(seed, r, families, base_size)
-        report.n_cases += 1
-        report.n_checks += 1
-        report.failures.extend(run_case(
-            case, [method], device, tol,
-            check_compiled=False, check_dist=False, check_fused=False,
-            check_store=False, mutation_service=stand_in,
-        ))
-    report.elapsed_s = monotonic() - t0
+
+
+# --------------------------------------------------------------------- #
+# A rule that also trusts single precision (engine-rule self-test)
+# --------------------------------------------------------------------- #
+@contextmanager
+def single_precision_engines():
+    """Temporarily let SuperLU engines serve float32 values and work
+    buffers too, which the accuracy probe rejects: a wrong engine rule
+    the compiled arm's engine-rule check must catch."""
+    from repro.core import executor
+
+    real = executor.ENGINE_DTYPES
+    executor.ENGINE_DTYPES = real + (np.dtype(np.float32),)
+    try:
+        yield
+    finally:
+        executor.ENGINE_DTYPES = real
+
+
+def engine_rule_self_test(
+    rounds: int = 3,
+    seed: int = 0,
+    *,
+    method: str = "levelset",
+    families: list[str] | None = None,
+    base_size: int = 140,
+    tol: float = DEFAULT_RESIDUAL_TOL,
+    device: DeviceModel = TITAN_RTX_SCALED,
+) -> FuzzReport:
+    """Run only the compiled arm, on float32 right-hand sides, under
+    :func:`single_precision_engines`; a harness that holds the engine
+    rule to the accuracy probe reports (minimized) failures here
+    (``repro fuzz --self-test`` requires it)."""
+    with single_precision_engines():
+        report = _arm_self_test(
+            rounds, seed, method, families, base_size, tol, device,
+            {"b_dtype": "float32"}, check_dist=False, check_fused=False,
+            check_mutation=False, check_store=False,
+        )
+        for f in report.failures:
+            f.minimized = minimize_failure(f, device, tol)
     return report

@@ -96,11 +96,9 @@ class _FlipClock:
         return self.now
 
 
-def _verdicts(compiled, overlay=None) -> list:
-    return [
-        None if v is None else v.get(F64)
-        for v in compiled.engine_verdicts(resolve=F64, overlay=overlay)
-    ]
+def _served(compiled, overlay=None) -> list:
+    """Per step, whether its engine serves a float64 RHS (the rule)."""
+    return list(compiled.engines_served(F64, overlay))
 
 
 def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
@@ -124,17 +122,17 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
 
     with SolveService(ServiceConfig(**config)) as svc:
         x_service = svc.solve(L, b).x
-        v_service = _verdicts(*overlay(svc))
+        v_service = _served(*overlay(svc))
     assert any(v_service), "no segment chose an engine"
 
     prepared = SOLVERS["recursive-block"](device=DEVICE).prepare(L)
     x_fresh, _ = prepared.solve(b)
-    v_fresh = _verdicts(prepared.compile())
+    v_fresh = _served(prepared.compile())
 
     with SolveService(ServiceConfig(**config)) as svc:
         x_loaded = svc.solve(L, b).x
         assert svc.stats().pattern_builds == 0
-        v_loaded = _verdicts(*overlay(svc))
+        v_loaded = _served(*overlay(svc))
 
     dp = DistributedPlan.from_prepared(
         PreparedSolve(prepared.method, prepared.plan, DEVICE,
@@ -142,7 +140,7 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
         3,
     )
     x_dist, _ = dp.solve(b)
-    v_dist = _verdicts(dp.compiled)
+    v_dist = _served(dp.compiled)
 
     assert v_fresh == v_service
     assert v_loaded == v_service
@@ -153,22 +151,22 @@ def test_engine_choice_does_not_depend_on_the_clock(tmp_path, monkeypatch):
 
 def test_pattern_template_never_builds_an_engine(monkeypatch):
     """The tracer-valued template is never solved, so it never builds
-    or probes an engine: every engine is built and probed on a request's
-    own values, in that request's overlay."""
+    an engine or decides whether one serves: every engine is built and
+    decided on a request's own values, in that request's overlay."""
     built = []
     real_values = executor._GstrsEngine.values
-    real_probe = _TriStep._build_engine
+    real_decide = _TriStep._build_engine
 
     def values(engine, src, *args):
         built.append(src)
         return real_values(engine, src, *args)
 
-    def probe(step, ov, i, work_dtype):
+    def decide(step, ov, i, work_dtype):
         built.append(ov.data)
-        return real_probe(step, ov, i, work_dtype)
+        return real_decide(step, ov, i, work_dtype)
 
     monkeypatch.setattr(executor._GstrsEngine, "values", values)
-    monkeypatch.setattr(_TriStep, "_build_engine", probe)
+    monkeypatch.setattr(_TriStep, "_build_engine", decide)
     L = random_lower(300, 0.03, seed=15)
     with SolveService(ServiceConfig(device=DEVICE, max_workers=1)) as svc:
         svc.solve(L, np.ones(L.n_rows))

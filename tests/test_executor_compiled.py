@@ -220,8 +220,7 @@ def test_first_fused_solve_runs_the_compiled_steps():
     X1, _ = prepared.solve_multi(B)
     X2, _ = prepared.solve_multi(B)
     Xd, _ = DistributedPlan.from_prepared(prepared, 3).solve_multi(B)
-    verdicts = prepared.compile().engine_verdicts()
-    assert any(v and any(v.values()) for v in verdicts), "no engine kept"
+    assert any(prepared.compile().engines_served()), "no engine serves"
     # the engine's rounding differs from the kernels' reporting path
     assert not np.array_equal(X2, prepared.plan.solve_multi(B, DEVICE)[0])
     assert np.array_equal(X1, X2)

@@ -9,15 +9,14 @@ bit-identical.  Where the two could differ (a product that is exactly
 zero, which SciPy's matmul drops; duplicate entries, which it sums) the
 engine falls back to the SciPy construction itself.
 
-The last section covers the serve layer's remembered verdicts: values
-bound again after their overlay was evicted adopt the engine verdicts
-they already earned instead of re-running the accuracy probe.
+The last section covers the engine rule: an engine serves float64
+values in a float64 work buffer whose engine values are finite, and
+everything else takes the kernel path.  No accuracy probe runs, except
+under ``check=True``.
 """
 
 import sys
-import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("scipy")
 
+from repro import solve_triangular  # noqa: E402
+from repro.core import executor  # noqa: E402
 from repro.core.executor import (  # noqa: E402
     CompiledPlan,
     _GstrsEngine,
@@ -41,8 +42,9 @@ from repro.kernels.base import (  # noqa: E402
     prepare_lower,
     solve_dtype,
 )
+from repro.kernels import SPTRSV_KERNELS  # noqa: E402
+from repro.kernels.sptrsv_serial import SerialKernel  # noqa: E402
 from repro.serve import SolveService, fingerprints  # noqa: E402
-from repro.serve.service import VERDICT_MEMO_CAPACITY  # noqa: E402
 from repro.validate.fuzz import FAMILIES  # noqa: E402
 
 from conftest import random_lower  # noqa: E402
@@ -245,22 +247,38 @@ def test_concurrent_overlays_build_scipy_equal_engines():
 
 
 # --------------------------------------------------------------------- #
-# Remembered verdicts: values bound again skip the accuracy probe
+# The engine rule: precision and finiteness decide, no probe runs
 # --------------------------------------------------------------------- #
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 @pytest.fixture
-def probes(monkeypatch):
-    """Work dtype of every engine probe (``_TriStep._build_engine``)."""
+def kernel_solves(monkeypatch):
+    """Every kernel ``solve_numeric`` call: on a pattern whose triangular
+    steps all serve an engine, only an accuracy probe makes one."""
     calls = []
-    real = _TriStep._build_engine
+    for cls in {*SPTRSV_KERNELS.values(), SerialKernel}:
+        real = cls.solve_numeric
+
+        def counted(kernel, aux, b, device, _real=real):
+            calls.append(type(kernel).name)
+            return _real(kernel, aux, b, device)
+
+        monkeypatch.setattr(cls, "solve_numeric", counted)
+    return calls
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Work dtype of every accuracy probe (``_TriStep.probe``)."""
+    calls = []
+    real = _TriStep.probe
 
     def counted(step, ov, i, work_dtype):
         calls.append(np.dtype(work_dtype))
         return real(step, ov, i, work_dtype)
 
-    monkeypatch.setattr(_TriStep, "_build_engine", counted)
+    monkeypatch.setattr(_TriStep, "probe", counted)
     return calls
 
 
@@ -280,6 +298,154 @@ def _only_pattern(svc: SolveService):
     return pattern
 
 
+def _served(svc: SolveService, A: CSRMatrix, b_dtype=F64) -> tuple:
+    """Per step of ``A``'s pattern, whether its engine serves ``A``'s
+    overlay at the work dtype of a ``b_dtype`` RHS (None: no engine)."""
+    pattern = _only_pattern(svc)
+    return pattern.binder.compiled.engines_served(
+        b_dtype, pattern.overlays[_vfp(A)].overlay
+    )
+
+
+def _kernel_path(monkeypatch, A: CSRMatrix, b, **config):
+    """The service's answer with no SuperLU engine anywhere."""
+    with monkeypatch.context() as m:
+        m.setattr(executor, "_HAVE_SUPERLU", False)
+        with SolveService(max_workers=1, **config) as svc:
+            return svc.solve(A, b).x
+
+
+@pytest.mark.parametrize("n_devices", [1, 4])
+def test_a_first_seen_overlay_runs_no_kernel_reference_solve(
+    kernel_solves, tmp_path, n_devices
+):
+    """New float64 values bound onto a pattern — by ``solve``, by
+    ``solve_batch``, and onto a pattern a fresh service loaded from the
+    plan store — solve on their engines at once: no kernel
+    ``solve_numeric`` runs, so no accuracy probe does."""
+    L = random_lower(300, 0.04, seed=41)
+    variants = [_scaled(L, s) for s in range(1, 6)]
+    b = np.random.default_rng(3).standard_normal(L.n_rows)
+    config = dict(method="column-block", solver_options={"nseg": 8},
+                  n_devices=n_devices, max_workers=1, overlay_capacity=8,
+                  store_path=str(tmp_path))
+    with SolveService(**config) as svc:
+        svc.solve(L, b)  # builds (and persists) the pattern
+        kernel_solves.clear()
+        xs = [svc.solve(V, b).x for V in variants[:2]]
+        batch = svc.solve_batch([(V, b) for V in variants[2:]])
+        assert kernel_solves == []
+        assert batch.buckets[0].fused
+        served = [_served(svc, V) for V in variants]
+        assert svc.stats().pattern_builds == 1
+    with SolveService(**config) as svc:
+        x_loaded = svc.solve(variants[0], b).x
+        assert kernel_solves == []
+        served.append(_served(svc, variants[0]))
+        st = svc.stats()
+        assert st.pattern_builds == 0 and st.store_hits == 1
+    # every triangular step chose an engine, and every overlay's serves
+    tri = [[v for v in s if v is not None] for s in served]
+    assert all(t and all(t) for t in tri)
+    assert x_loaded.tobytes() == xs[0].tobytes()
+    for V, r in zip(variants[2:], batch):
+        with SolveService(max_workers=1, method="column-block",
+                          solver_options={"nseg": 8},
+                          n_devices=n_devices) as fresh:
+            assert r.x.tobytes() == fresh.solve(V, b).x.tobytes()
+
+
+#: value dtype, RHS dtype and poisoned entry of overlays the rule sends
+#: to the kernel path
+KERNEL_PATH = {
+    "f32-factor-f32-rhs": (F32, F32, None),
+    "f32-factor-f64-rhs": (F32, F64, None),
+    "f64-factor-f32-rhs": (F64, F32, None),
+    "nan": (F64, F64, np.nan),
+    "inf": (F64, F64, np.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_PATH))
+def test_single_precision_and_non_finite_values_take_the_kernel_path(
+    monkeypatch, kernel_solves, case
+):
+    """A float32 factor, a float32 work buffer, a NaN or an inf keeps
+    every engine step on its kernel path, answering bit for bit like a
+    service with no engine at all; no accuracy probe runs to decide."""
+    value_dtype, rhs_dtype, poison = KERNEL_PATH[case]
+    L = random_lower(200, 0.05, seed=7).astype(value_dtype)
+    if poison is not None:
+        L = _with_entry(L, poison)
+    b = np.linspace(-1.0, 1.0, L.n_rows).astype(rhs_dtype)
+    with SolveService(max_workers=1) as svc:
+        x = svc.solve(L, b).x
+        served = _served(svc, L, rhs_dtype)
+        binder = _only_pattern(svc).binder
+    assert any(s is not None for s in served), "no step chose an engine"
+    assert not any(served)
+    # the kernel path ran, and no probe besides it
+    tri = sum(isinstance(s, _TriStep) for s in binder.compiled._steps)
+    assert len(kernel_solves) == tri
+    want = _kernel_path(monkeypatch, L, b)
+    assert x.dtype == want.dtype
+    assert x.tobytes() == want.tobytes()
+
+
+def test_finite_float64_values_take_the_engine(kernel_solves):
+    L = random_lower(200, 0.05, seed=7)
+    b = np.linspace(-1.0, 1.0, L.n_rows)
+    with SolveService(max_workers=1) as svc:
+        x = svc.solve(L, b).x
+        served = _served(svc, L)
+    assert served == (True,)
+    assert kernel_solves == []
+    x_ref, _ = _direct(L, L.data).plan.solve(b, DEVICE)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
+
+
+def _wrong_engines(monkeypatch) -> None:
+    """Engine values whose inverse diagonal is doubled: an engine that
+    answers twice the solution wherever the rule lets it serve."""
+    real = _TriStep._engine_values
+
+    def wrong(step, ov, i, work_dtype):
+        data, indices, indptr, invdiag = real(step, ov, i, work_dtype)
+        return data, indices, indptr, invdiag * 2
+
+    monkeypatch.setattr(_TriStep, "_engine_values", wrong)
+
+
+@pytest.mark.parametrize("n_devices", [1, 4])
+def test_check_probes_each_first_seen_overlay(monkeypatch, probes,
+                                              n_devices):
+    """Under ``check=True`` the accuracy probe still runs on each new
+    overlay before it is solved, and an engine it rejects leaves its
+    step on the kernel path: the answer is the kernel path's, bit for
+    bit, where the unchecked service answers with the wrong engine."""
+    L = random_lower(200, 0.05, seed=9)
+    V = _scaled(L, 1)
+    b = np.random.default_rng(10).standard_normal(L.n_rows)
+    want = _kernel_path(monkeypatch, V, b, n_devices=n_devices)
+    _wrong_engines(monkeypatch)
+    with SolveService(max_workers=1, check=True, n_devices=n_devices) as svc:
+        svc.solve(L, b)
+        probes.clear()
+        x = svc.solve(V, b).x
+        served = _served(svc, V)
+    assert probes and set(probes) == {F64}
+    assert served == (False,)
+    assert x.tobytes() == want.tobytes()
+    with SolveService(max_workers=1, n_devices=n_devices) as svc:
+        wrong = svc.solve(V, b).x
+    np.testing.assert_allclose(wrong, 2 * x, rtol=1e-9)
+    probes.clear()
+    checked = solve_triangular(V, b, check=True).x
+    assert probes
+    assert not np.allclose(solve_triangular(V, b).x, checked)
+    np.testing.assert_allclose(checked, x, rtol=1e-12, atol=1e-14)
+
+
 def _overlay_engines(pattern, A: CSRMatrix) -> list[dict]:
     ov = pattern.overlays[_vfp(A)].overlay
     return [ov.engines[i] for i, _ in _engine_steps(pattern.binder.compiled)]
@@ -288,8 +454,9 @@ def _overlay_engines(pattern, A: CSRMatrix) -> list[dict]:
 @pytest.mark.parametrize("n_devices", [1, 4])
 def test_rebinding_seen_values_runs_no_probe(probes, n_devices):
     """With one overlay slot every solve below evicts the previous
-    values; binding them again adopts their verdicts, probe-free, and
-    answers bit-identically to the first binding, fused or not."""
+    values; binding them again decides their engines by the rule,
+    probe-free, and answers bit-identically to the first binding, fused
+    or not."""
     L = random_lower(300, 0.04, seed=41)
     variants = [L, _scaled(L, 1), _scaled(L, 2)]
     b = np.random.default_rng(3).standard_normal(L.n_rows)
@@ -297,14 +464,11 @@ def test_rebinding_seen_values_runs_no_probe(probes, n_devices):
                       n_devices=n_devices, overlay_capacity=1,
                       max_workers=1) as svc:
         first = [svc.solve(V, b).x for V in variants]
-        assert probes, "the first bindings probe their engines"
-        probes.clear()
         again = [svc.solve(V, b).x for V in variants]
         batch = svc.solve_batch([(V, b) for V in variants])
-        pattern = _only_pattern(svc)
         assert batch.buckets[0].fused
-        assert len(pattern.verdicts) == len(variants)
         assert svc.stats().pattern_builds == 1
+        assert svc.stats().overlay_evictions >= 2 * len(variants)
     assert probes == []
     for x0, x1, r in zip(first, again, batch):
         assert np.array_equal(x0, x1)
@@ -312,96 +476,41 @@ def test_rebinding_seen_values_runs_no_probe(probes, n_devices):
 
 
 def test_rejected_engine_stays_on_kernel_path_after_rebind(probes):
-    """A NaN fails the accuracy check; the remembered drop verdict pins
-    the kernel path when those values are bound again."""
+    """A NaN keeps the kernel path by the rule, and again when those
+    values are bound anew after their overlay was evicted."""
     L = random_lower(200, 0.05, seed=42)
     bad = _with_entry(L, np.nan)
     b = np.ones(L.n_rows)
     with SolveService(overlay_capacity=1, max_workers=1) as svc:
         x1 = svc.solve(bad, b).x
         svc.solve(L, b)  # evicts the poisoned overlay
-        pattern = _only_pattern(svc)
-        assert any(d and d[F64] is False for d in pattern.verdicts[_vfp(bad)])
-        probes.clear()
         x2 = svc.solve(bad, b).x
-        engines = _overlay_engines(pattern, bad)
+        engines = _overlay_engines(_only_pattern(svc), bad)
     assert probes == []
-    assert any(e[F64] is None for e in engines)
+    assert engines and all(e[F64] is None for e in engines)
     assert np.array_equal(x1, x2, equal_nan=True)
 
 
 def test_verdict_never_crosses_work_dtypes(probes):
-    """float32 values solved with a float32 right-hand side remember a
-    float32 verdict only: a float64 right-hand side still probes."""
-    L = random_lower(200, 0.05, seed=43).astype(np.float32)
-    with SolveService(overlay_capacity=1, max_workers=1) as svc:
-        svc.solve(L, np.ones(L.n_rows, dtype=np.float32))
-        svc.solve(_scaled(L, 1), np.ones(L.n_rows, dtype=np.float32))
-        pattern = _only_pattern(svc)
-        assert {dt for d in pattern.verdicts[_vfp(L)] if d for dt in d} == {F32}
-        probes.clear()
-        x = svc.solve(L, np.ones(L.n_rows)).x
-        engines = _overlay_engines(pattern, L)
-    assert probes and set(probes) == {F64}
+    """float64 values decide their engine per work dtype: a float32
+    right-hand side takes the kernel path, a float64 one the engine,
+    each deciding for itself on one overlay."""
+    L = random_lower(200, 0.05, seed=43)
+    with SolveService(max_workers=1) as svc:
+        x32 = svc.solve(L, np.ones(L.n_rows, dtype=np.float32)).x
+        engines = _overlay_engines(_only_pattern(svc), L)
+        assert all(set(e) == {F32} and e[F32] is None for e in engines)
+        x64 = svc.solve(L, np.ones(L.n_rows)).x
+        engines = _overlay_engines(_only_pattern(svc), L)
+    assert probes == []
     assert all(set(e) == {F32, F64} for e in engines)
-    assert x.dtype == F64
-
-
-def test_memo_is_bounded_and_leaves_with_its_pattern():
-    L = random_lower(100, 0.06, seed=44)
-    variants = [_scaled(L, s) for s in range(VERDICT_MEMO_CAPACITY + 3)]
-    b = np.ones(L.n_rows)
-    with SolveService(overlay_capacity=1, cache_capacity=1,
-                      max_workers=1) as svc:
-        for V in variants:
-            svc.solve(V, b)
-        pattern = _only_pattern(svc)
-        # every evicted digest was remembered; the oldest fell out
-        assert list(pattern.verdicts) == [
-            _vfp(V) for V in variants[2:-1]
-        ]
-        memo = weakref.ref(pattern.verdicts)
-        del pattern
-        svc.solve(random_lower(90, 0.06, seed=45), np.ones(90))
-    assert memo() is None
-
-
-def test_only_completed_verdicts_are_recorded(monkeypatch):
-    """An overlay evicted while its probe is still running on another
-    worker leaves no verdict behind for that probe."""
-    L = random_lower(200, 0.05, seed=46)
-    slow, other = _scaled(L, 1), _scaled(L, 2)
-    b = np.ones(L.n_rows)
-    started, release = threading.Event(), threading.Event()
-    armed = []
-    real = _TriStep._build_engine
-
-    def gated(step, ov, i, work_dtype):
-        if armed and armed.pop():
-            started.set()
-            assert release.wait(timeout=30)
-        return real(step, ov, i, work_dtype)
-
-    monkeypatch.setattr(_TriStep, "_build_engine", gated)
-    with SolveService(overlay_capacity=1, max_workers=2) as svc:
-        svc.solve(L, b)  # builds the pattern and settles L's verdicts
-        armed.append(True)
-        fut = svc.submit(slow, b)
-        assert started.wait(timeout=30)
-        svc.solve(other, b)  # evicts the overlay mid-probe
-        pattern = _only_pattern(svc)
-        assert _vfp(slow) not in pattern.verdicts
-        release.set()
-        x = fut.result(timeout=30)[0].x
-        svc.solve(L, b)  # evicts `other`, whose probe completed
-        assert _vfp(other) in pattern.verdicts
-        assert np.array_equal(svc.solve(slow, b).x, x)
+    assert all(e[F32] is None and e[F64] is not None for e in engines)
+    assert x32.dtype == F32 and x64.dtype == F64
 
 
 def test_concurrent_bind_and_evict_stays_bit_identical():
     """Many workers binding, evicting and re-binding overlays of one
-    pattern through the verdict memo all get the single-threaded
-    answers."""
+    pattern all get the single-threaded answers."""
     L = random_lower(200, 0.05, seed=47)
     variants = [L] + [_scaled(L, s) for s in range(5)]
     b = np.random.default_rng(48).standard_normal(L.n_rows)

@@ -80,6 +80,28 @@ class TestValidation:
                 np.array([1.0]),
             )
 
+    def test_rejects_indptr_not_starting_at_zero(self):
+        # one entry in the one active row, but indptr claims two
+        with pytest.raises(SparseFormatError, match=r"indptr\[0\]"):
+            DCSRMatrix(
+                2, 3,
+                np.array([0], dtype=np.int32),
+                np.array([1, 2]),
+                np.array([0, 1], dtype=np.int32),
+                np.array([1.0, 2.0]),
+            )
+
+    def test_rejects_data_shorter_than_indices(self):
+        # matvec([1, 2, 3]) would otherwise answer [15, 0] silently
+        with pytest.raises(SparseFormatError, match="length mismatch"):
+            DCSRMatrix(
+                2, 3,
+                np.array([0], dtype=np.int32),
+                np.array([0, 2]),
+                np.array([0, 1], dtype=np.int32),
+                np.array([5.0]),
+            )
+
 
 class TestNumerics:
     def test_matvec_matches_csr(self):

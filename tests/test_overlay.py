@@ -88,7 +88,7 @@ def test_rebound_overlay_is_bit_identical_to_a_direct_build(
     method, dtype, upper, n_devices
 ):
     """Every values vector of a pattern, bound and bound again after
-    its eviction (adopting its remembered verdicts), answers one and
+    its eviction (deciding its engines anew), answers one and
     three right-hand sides bit for bit like the service's full build on
     those values."""
     L = random_lower(150, 0.06, seed=21).astype(dtype)
@@ -317,10 +317,10 @@ def test_two_overlays_solving_at_once_each_answer_their_own(monkeypatch,
 
 
 def test_a_bind_gathers_each_diagonal_once(monkeypatch):
-    """Adopting kept verdicts builds each engine's values from the very
-    diagonal the bind gathered and checked: one diagonal gather per
-    triangular step per bind, and the overlay still solves bit for bit
-    like a plan built on its values."""
+    """A bind gathers and checks each triangular step's diagonal once,
+    and the overlay's first solve builds each engine's values from that
+    very diagonal; the overlay still solves bit for bit like a plan
+    built on its values."""
     from repro.core import executor, rebind
 
     L = random_lower(300, density=0.03, seed=3)
@@ -330,9 +330,6 @@ def test_a_bind_gathers_each_diagonal_once(monkeypatch):
         svc.solve(V, b)
         pattern = _only_pattern(svc)
         binder = pattern.binder
-        verdicts = binder.compiled.engine_verdicts(
-            resolve=F64, overlay=_overlay(svc, V)
-        )
         checked, used = [], []
         check = rebind.check_solvable_diagonal
         values = executor._GstrsEngine.values
@@ -347,12 +344,13 @@ def test_a_bind_gathers_each_diagonal_once(monkeypatch):
 
         monkeypatch.setattr(rebind, "check_solvable_diagonal", counted_check)
         monkeypatch.setattr(executor._GstrsEngine, "values", counted_values)
-        overlay = binder.bind(V.data, verdicts)
+        overlay = binder.bind(V.data)
         plan = binder.plan
         engines = sum(bool(e) for e in binder.compiled._engine_steps)
         assert len(checked) == plan.n_tri_segments
+        assert used == []  # engine values wait for the first solve
+        x, _ = pattern.template.solve(b, overlay)
         assert engines and len(used) == engines
         assert all(any(d is c for c in checked) for d in used)
-        x, _ = pattern.template.solve(b, overlay)
     direct = SOLVERS["recursive-block"](device=DEVICE, depth=2).prepare(V)
     assert np.array_equal(x, direct.solve(b)[0])

@@ -141,8 +141,8 @@ def test_warm_hits_leave_no_net_blocks(monkeypatch, door):
 
 def test_overlay_churn_leaves_no_net_blocks(monkeypatch):
     """Eight values vectors of one pattern cycling through four overlay
-    slots: every solve binds one overlay, evicts another and remembers
-    its verdicts, and the run still leaves no net blocks."""
+    slots: every solve binds one overlay, builds its engine values and
+    evicts another, and the run still leaves no net blocks."""
     L = random_lower(240, 0.05, seed=80)
     rng = np.random.default_rng(81)
     variants = [

@@ -206,7 +206,7 @@ class TestCorruptionDegradesToMiss:
         entry.write_bytes(old)
         self._assert_cold_rebuild(path, mats, xs, mismatched=1)
         header, _, _ = decode_entry(entry.read_bytes())  # checksum verified
-        assert header["format_version"] == FORMAT_VERSION == 5
+        assert header["format_version"] == FORMAT_VERSION == 6
         assert "payload_blake2b" not in header
 
     def test_format_3_entry_is_never_served_and_gc_drops_it(self, warm):
@@ -214,21 +214,22 @@ class TestCorruptionDegradesToMiss:
         ``str(dtype)`` keys, so its files sit under names no request
         produces any more; a format-3 header under a current name is a
         counted mismatch.  So is a format-4 header (a pickled payload)
-        under a current name.  None is ever served, and ``gc`` removes
-        every kind as stale."""
+        or a format-5 header (stored engine verdicts) under a current
+        name.  None is ever served, and ``gc`` removes every kind as
+        stale."""
         path, mats, xs, entry = warm
         stale = []
-        for version in (3, 4):
+        for version in (3, 4, 5):
             old = _rewrite_header(entry.read_bytes(), format_version=version)
             stale.append(entry.with_name(f"{version}" * 32 + ".plan"))
             stale[-1].write_bytes(old)  # an old-scheme name
             entry.write_bytes(old)
             self._assert_cold_rebuild(path, mats, xs, mismatched=1)
-            assert read_header(entry.read_bytes())["format_version"] == 5
+            assert read_header(entry.read_bytes())["format_version"] == 6
         store = PlanStore(path)
         summary = store.gc()
         store.close()
-        assert summary["removed"] == 2 and summary["reasons"] == {"version": 2}
+        assert summary["removed"] == 3 and summary["reasons"] == {"version": 3}
         assert not any(p.exists() for p in stale) and entry.exists()
 
     @pytest.mark.parametrize("where", ["decisions", "middle", "arrays", "last"])
@@ -369,13 +370,14 @@ def _with_value(A: CSRMatrix, k: int, value: float) -> CSRMatrix:
 
 
 class TestLoadedValues:
-    """What a loader adopts, and what a bad request may do to an entry."""
+    """What a loader serves, and what a bad request may do to an entry."""
 
     def test_rejected_engine_stays_rejected_after_restart(self, tmp_path):
-        """A NaN in the factor fails the writer's engine accuracy check,
-        so it solves on the kernel path.  A restarted service must not
-        adopt the template's keep verdict for those values: it solves
-        them bit-identically, with zero pattern builds."""
+        """A NaN in the factor keeps the writer's engine step on its
+        kernel path (the engine rule).  A restarted service, which
+        stores no decision about values, decides alike for those
+        values: it solves them bit-identically, with zero pattern
+        builds."""
         wl = mixed_workload(6, scale=0.05, n_matrices=6, seed=42)
         cfg = ServiceConfig(max_workers=2, store_path=str(tmp_path))
         for name, A in wl.matrices.items():

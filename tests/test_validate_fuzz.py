@@ -10,10 +10,12 @@ from repro.validate.fuzz import (
     FAMILIES,
     FuzzCase,
     broken_solver,
+    engine_rule_self_test,
     minimize_failure,
     run_case,
     run_fuzz,
     sample_case,
+    single_precision_engines,
 )
 
 
@@ -182,6 +184,8 @@ class TestFuzzCli:
         assert rc == 0
         assert "self-test OK" in out
         assert "--replay" in out  # reproduction commands printed
+        assert "engine-rule [compiled]" in out
+        assert "catches an engine rule that trusts single precision" in out
 
     def test_cli_replay_good_case(self, capsys):
         rc = cli_main(
@@ -239,3 +243,39 @@ class TestStoreArm:
         assert run_case(FuzzCase.from_token(small.token()), ["levelset"],
                         check_compiled=False, check_dist=False,
                         check_fused=False, check_mutation=False)
+
+
+class TestEngineRuleCheck:
+    """The compiled arm holds the executor's engine rule (float64 values
+    and work buffer, finite engine values) to the accuracy probe."""
+
+    @pytest.mark.parametrize("b_dtype", ["float64", "float32", "int64"])
+    @pytest.mark.parametrize("family", ["uniform", "chain", "ilu"])
+    def test_the_rule_agrees_with_the_probe(self, family, b_dtype):
+        case = FuzzCase(family=family, seed=3, size=90, b_dtype=b_dtype)
+        failures = run_case(
+            case, ["levelset", "recursive-block"], check_dist=False,
+            check_fused=False, check_mutation=False, check_store=False,
+        )
+        assert failures == []
+
+    def test_a_rule_that_trusts_float32_is_caught_minimized_and_replayed(
+        self,
+    ):
+        report = engine_rule_self_test(rounds=3, seed=0)
+        assert report.failures
+        assert {f.kind for f in report.failures} == {"engine-rule"}
+        for f in report.failures:
+            assert f.via == "compiled"
+            small = f.minimized
+            assert small is not None and small.b_dtype == "float32"
+            assert small.size <= f.case.size
+            replayed = FuzzCase.from_token(small.token())
+            assert run_case(replayed, [f.method], check_dist=False,
+                            check_fused=False, check_mutation=False,
+                            check_store=False) == []
+            with single_precision_engines():
+                again = run_case(replayed, [f.method], check_dist=False,
+                                 check_fused=False, check_mutation=False,
+                                 check_store=False)
+            assert [g.kind for g in again] == ["engine-rule"]
