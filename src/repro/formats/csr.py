@@ -52,6 +52,7 @@ class CSRMatrix:
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=INDPTR_DTYPE)
         self.indices = np.ascontiguousarray(self.indices, dtype=INDEX_DTYPE)
+        self.data = np.asarray(self.data)
         if self.data.dtype.kind != "f":
             self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         else:

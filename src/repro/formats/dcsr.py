@@ -48,6 +48,7 @@ class DCSRMatrix:
         self.row_ids = np.ascontiguousarray(self.row_ids, dtype=np.int32)
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(self.indices, dtype=np.int32)
+        self.data = np.asarray(self.data)
         if self.data.dtype.kind != "f":
             self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if not self._validated:

@@ -24,7 +24,8 @@ _MISS = object()
 @dataclass(frozen=True)
 class CacheStats:
     """Counters snapshot; ``hits``/``misses`` count lookups, not requests
-    (a coalesced batch of k same-matrix requests is one lookup)."""
+    (a coalesced batch of k same-matrix requests is one lookup, and the
+    values groups of one ``solve_batch`` bucket share one lookup)."""
 
     hits: int
     misses: int

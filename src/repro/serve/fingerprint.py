@@ -78,14 +78,18 @@ def _full_digest(structure_fp: str, values_fp: str) -> str:
     return hashlib.sha256(f"{structure_fp}|{values_fp}".encode()).hexdigest()
 
 
-def fingerprints(A: CSRMatrix) -> tuple[str, str, str]:
+def fingerprints(
+    A: CSRMatrix, structure_fp: str | None = None
+) -> tuple[str, str, str]:
     """``(full, structure, values)`` digests, each array hashed once.
 
     The structure digest is :func:`structure_fingerprint`, the values
     digest :func:`values_fingerprint`, and the full digest — equal to
-    :func:`matrix_fingerprint` — is a hash of those two.
+    :func:`matrix_fingerprint` — is a hash of those two.  A caller that
+    already holds the structure digest of ``A``'s very index arrays
+    passes it as ``structure_fp``, and only ``data`` is hashed.
     """
-    sfp = structure_fingerprint(A)
+    sfp = structure_fingerprint(A) if structure_fp is None else structure_fp
     vfp = values_fingerprint(A)
     return _full_digest(sfp, vfp), sfp, vfp
 

@@ -1,6 +1,6 @@
 """Deadline-aware asyncio ingress over :class:`~repro.serve.service.SolveService`.
 
-The thread-pool service admits with a bounded semaphore and runs FIFO:
+The thread-pool service admits against a bounded permit count and runs FIFO:
 under overload every request waits the same queue, deadlines are only
 checked once a worker picks the job up, and the only relief valve is a
 hard :class:`ServiceOverloadedError` at the door.  This module rebuilds
@@ -306,7 +306,7 @@ class AsyncSolveService:
         if inflight is None:
             inflight = self.service.config.max_workers
         # Never dispatch more than the backend will admit, or dispatches
-        # would bounce off its own admission semaphore.
+        # would bounce off its own admission permits.
         self._max_inflight = min(inflight, self.service.config.queue_limit)
         self._by_rank = sorted(self.config.classes, key=lambda c: c.rank)
         self._queues: dict[str, list] = {c.name: [] for c in self.config.classes}

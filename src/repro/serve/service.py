@@ -188,7 +188,7 @@ class _Snapshot(CSRMatrix):
     """A request matrix the service owns: copied at admission."""
 
 
-def _snapshot(A: CSRMatrix) -> _Snapshot:
+def _snapshot(A: CSRMatrix, like: _Snapshot | None = None) -> _Snapshot:
     """The service's own copy of a request matrix, taken at admission.
 
     Everything downstream — digests, binds, solves — reads only this
@@ -197,8 +197,11 @@ def _snapshot(A: CSRMatrix) -> _Snapshot:
     length checks here stand in for a full validation: a cache hit's
     equal structure digest means its index arrays equal a pattern that
     was already built and checked, and a miss runs the O(nnz) checks
-    while it builds.  A snapshot passes through unchanged (the async
-    ingress takes it before queueing).
+    while it builds.  The copied index arrays are read-only.  ``like``
+    is the snapshot of a matrix that holds the very same index arrays
+    as ``A`` (values variants of one batch): its copies are shared, and
+    only ``A``'s ``data`` is copied.  A snapshot passes through unchanged
+    (the async ingress takes it before queueing).
     """
     if type(A) is _Snapshot:
         return A
@@ -209,10 +212,18 @@ def _snapshot(A: CSRMatrix) -> _Snapshot:
             f"inconsistent CSR arrays: {n} rows, indptr of length "
             f"{len(indptr)}, {len(indices)} indices, {len(data)} values"
         )
-    return _Snapshot(
+    if like is not None:
+        return _Snapshot(
+            n, A.n_cols, like.indptr, like.indices, data.copy(),
+            _validated=True,
+        )
+    snap = _Snapshot(
         n, A.n_cols, indptr.copy(), indices.copy(), data.copy(),
         _validated=True,
     )
+    snap.indptr.setflags(write=False)
+    snap.indices.setflags(write=False)
+    return snap
 
 
 def _malformed_request(pos: int, reason: str) -> ValidationError:
@@ -324,7 +335,10 @@ class _PatternEntry:
 
         Returns ``(entry, values_hit)``; concurrent requests for the
         same values wait for the one in-flight build and count as hits
-        (they paid no preprocessing).
+        (they paid no preprocessing).  A flight is a lock its builder
+        holds until the overlay is installed or the build failed;
+        waiters block on it, then look again (and one of them takes
+        over a failed flight).
         """
         while True:
             with self._lock:
@@ -332,30 +346,22 @@ class _PatternEntry:
                 if entry is not None:
                     self.overlays.move_to_end(vfp)
                     return entry, True
-                event = self._flights.get(vfp)
-                if event is None:
-                    event = self._flights[vfp] = threading.Event()
-                    building = True
-                else:
-                    building = False
+                flight = self._flights.get(vfp)
+                building = flight is None
+                if building:
+                    flight = self._flights[vfp] = threading.Lock()
+                    flight.acquire()
             if not building:
-                event.wait()
-                with self._lock:
-                    entry = self.overlays.get(vfp)
-                if entry is not None:
-                    return entry, True
-                continue  # the builder failed; this waiter takes over
+                with flight:  # blocks until the builder is done
+                    pass
+                continue
             try:
                 entry = service._build_overlay(self, A)
-            except BaseException:
+                self._install(vfp, entry)
+            finally:
                 with self._lock:
-                    self._flights.pop(vfp, None)
-                event.set()
-                raise
-            self._install(vfp, entry)
-            with self._lock:
-                self._flights.pop(vfp, None)
-            event.set()
+                    del self._flights[vfp]
+                flight.release()
             return entry, False
 
 
@@ -442,7 +448,9 @@ class SolveService:
         self._pool = ThreadPoolExecutor(
             max_workers=cfg.max_workers, thread_name_prefix="repro-serve"
         )
-        self._admission = threading.BoundedSemaphore(cfg.queue_limit)
+        # free admission permits: taking or returning k is one step
+        self._permits = cfg.queue_limit
+        self._permits_lock = threading.Lock()
         self._records: deque[RequestRecord] = deque(maxlen=cfg.history_limit)
         self._records_lock = threading.Lock()
         # Lifetime outcome counters: exact past the retention cap, where
@@ -529,45 +537,45 @@ class SolveService:
         return ids
 
     def _admit(self, tenants: list[str]) -> None:
-        """Acquire one admission permit per request, all-or-nothing.
+        """Take one admission permit per request, all-or-nothing.
 
-        On overflow every already-acquired permit is released (no
-        leaks) and *every* request in the submission is counted as
-        rejected under its own tenant — the attribution the shed
-        fairness view needs.
+        On overflow no permit is taken and *every* request in the
+        submission is counted as rejected under its own tenant — the
+        attribution the shed fairness view needs.
         """
-        acquired = 0
-        for _ in tenants:
-            if self._admission.acquire(blocking=False):
-                acquired += 1
-            else:
-                for _ in range(acquired):
-                    self._admission.release()
-                with self._records_lock:
-                    self._rejected += len(tenants)
-                    for t in tenants:
-                        self._rejected_by_tenant[t] = (
-                            self._rejected_by_tenant.get(t, 0) + 1
-                        )
-                if self._obs is not None:
-                    counter = self._obs.serve_metrics.rejected_total
-                    for t in set(tenants):
-                        counter.inc(tenants.count(t), tenant=t)
-                raise ServiceOverloadedError(
-                    f"admission queue full ({self.config.queue_limit} in flight); "
-                    "retry later or raise queue_limit"
+        with self._permits_lock:
+            if self._permits >= len(tenants):
+                self._permits -= len(tenants)
+                return
+        with self._records_lock:
+            self._rejected += len(tenants)
+            for t in tenants:
+                self._rejected_by_tenant[t] = (
+                    self._rejected_by_tenant.get(t, 0) + 1
                 )
+        if self._obs is not None:
+            counter = self._obs.serve_metrics.rejected_total
+            for t in set(tenants):
+                counter.inc(tenants.count(t), tenant=t)
+        raise ServiceOverloadedError(
+            f"admission queue full ({self.config.queue_limit} in flight); "
+            "retry later or raise queue_limit"
+        )
 
     def _release(self, k: int) -> None:
-        for _ in range(k):
-            self._admission.release()
+        """Return ``k`` permits; returning more than were taken raises
+        ``ValueError``, as a bounded semaphore does."""
+        with self._permits_lock:
+            if self._permits + k > self.config.queue_limit:
+                raise ValueError("admission permits released too many times")
+            self._permits += k
 
     @property
     def admission_available(self) -> int:
         """Free admission permits right now.  Equals
         ``config.queue_limit`` when the service is fully drained — the
         invariant the permit-leak regression tests assert."""
-        return self._admission._value
+        return self._permits
 
     def _deadline(self, timeout_s: float | None) -> float | None:
         t = self.config.timeout_s if timeout_s is None else timeout_s
@@ -669,7 +677,13 @@ class SolveService:
         coalesce into one fused multi-RHS call, and distinct values
         vectors run back-to-back over the shared pattern plan — the
         second and later groups pay only a values rebind, never a
-        re-plan.  Buckets run one after another, in the order of their
+        re-plan, and reuse the pattern the first group looked up (one
+        plan-cache lookup per bucket).  Per-pattern admission work is
+        paid once too: matrices that hold the very same ``indptr`` and
+        ``indices`` arrays (values variants made with
+        :func:`dataclasses.replace`) share one read-only copy of them
+        and one structure digest, and only their ``data`` is copied and
+        hashed apart.  Buckets run one after another, in the order of their
         first requests, under one deadline set at admission: a bucket
         that starts after it is shed as expired, and its queue wait is
         the time it waited behind the earlier buckets.
@@ -704,17 +718,32 @@ class SolveService:
         deadline = self._deadline(timeout_s)
         structural = self.config.structural_batching
         # Snapshot and digest each distinct matrix object once (requests
-        # passing the same object share its copy: all are admitted in
-        # this one call); a damaged matrix fails the O(1) checks of its
-        # snapshot and frees the batch's permits.
+        # passing the same object share its copy), and each distinct
+        # structure once: matrices holding the very same index arrays
+        # (values variants made with dataclasses.replace, say) share one
+        # read-only copy of them and its digest, and only their data is
+        # copied and hashed apart.  Identity is safe here because this
+        # one call holds every request, so no id can be reused inside
+        # it.  A damaged matrix fails the O(1) checks of its snapshot and
+        # frees the batch's permits.
         snaps: list[tuple] = []
         copies: dict[int, tuple] = {}
+        structures: dict[tuple, tuple] = {}
         try:
             for r in reqs:
                 taken = copies.get(id(r.A))
                 if taken is None:
-                    A = _snapshot(r.A)
-                    taken = copies[id(r.A)] = (A, fingerprints(A))
+                    M = r.A
+                    skey = (M.n_rows, M.n_cols, id(M.indptr), id(M.indices))
+                    shared = structures.get(skey)
+                    if shared is None:
+                        A = _snapshot(M)
+                        fps = fingerprints(A)
+                        structures[skey] = (A, fps[1])
+                    else:
+                        A = _snapshot(M, shared[0])
+                        fps = fingerprints(A, shared[1])
+                    taken = copies[id(M)] = (A, fps)
                 snaps.append((taken[0], np.array(r.b), taken[1]))
         except Exception as exc:
             self._release(len(reqs))
@@ -1230,6 +1259,50 @@ class SolveService:
             overlay=overlay,
         )
 
+    def _resolve_pattern(
+        self,
+        job: _GroupJob,
+        method: str,
+        obs: Observability | None,
+        resolved: list[_PatternEntry],
+    ) -> tuple[_PatternEntry, bool, bool]:
+        """``(pattern, pattern_hit, store_hit)`` of ``job``'s bucket.
+
+        One lookup per bucket: the first group to resolve the pattern
+        appends it to ``resolved``, and a later group reuses it as the
+        pattern hit its own lookup would have been.  A cache miss
+        consults the disk warm tier before the cold build; a loaded
+        pattern skips the Table 5 analysis entirely, and a fresh build
+        is written back asynchronously.
+        """
+        if resolved:
+            return resolved[0], True, False
+        cfg = self.config
+        A = job.A
+        options = cfg.solver_options if method == cfg.method else {}
+        if cfg.structural_batching:
+            key = structure_key(
+                job.sfp, method, cfg.device, options, A.data.dtype
+            )
+        else:
+            key = plan_key(job.fp, method, cfg.device, options)
+        from_store: list = []
+
+        def build() -> _PatternEntry:
+            if self.store is not None:
+                loaded = self._load_pattern(key, job, method, obs)
+                if loaded is not None:
+                    from_store.append(True)
+                    return loaded
+            pattern = self._build_pattern(A, method, job.vfp)
+            if self.store is not None:
+                self._persist_pattern(key, job, method, pattern, obs)
+            return pattern
+
+        pattern, p_hit = self.cache.get_or_build(key, build)
+        resolved.append(pattern)
+        return pattern, p_hit, bool(from_store)
+
     def _check_deadline(self, deadline: float | None) -> None:
         if deadline is not None and monotonic() > deadline:
             raise ServiceTimeoutError("request deadline expired")
@@ -1321,16 +1394,20 @@ class SolveService:
         qwait: float | None = None,
     ):
         """Run the bucket's groups sequentially over the shared pattern
-        plan; a failing group doesn't stop the remaining ones."""
+        plan; a failing group doesn't stop the remaining ones.  The
+        first group to resolve the pattern (cache, store or build) hands
+        it to the later groups, which look up only their overlays."""
         results: list[SolveResult] = []
         errors: list[Exception] = []
         pattern_hit = False
         bucket_n = len(jobs)
+        resolved: list[_PatternEntry] = []
         for job in jobs:
             try:
                 if obs is None:
                     group_results, p_hit = self._run_group_inner(
-                        job, deadline, None, t0, fused, bucket_n, qwait
+                        job, deadline, None, t0, fused, bucket_n, resolved,
+                        qwait,
                     )
                 else:
                     metrics = obs.serve_metrics
@@ -1350,7 +1427,8 @@ class SolveService:
                             submitted_at = None
                         try:
                             group_results, p_hit = self._run_group_inner(
-                                job, deadline, obs, t0, fused, bucket_n, qwait
+                                job, deadline, obs, t0, fused, bucket_n,
+                                resolved, qwait,
                             )
                         except ServiceTimeoutError:
                             metrics.requests_total.inc(
@@ -1409,8 +1487,11 @@ class SolveService:
         t0: float,
         fused: bool,
         bucket_n: int,
+        resolved: list[_PatternEntry],
         qwait: float | None = None,
     ) -> tuple[list[SolveResult], bool]:
+        """Solve one group; ``resolved`` holds the bucket's pattern once
+        a group has resolved it."""
         cfg = self.config
         A = job.A
         # read defensively: a malformed A (not a CSRMatrix) must still
@@ -1475,40 +1556,20 @@ class SolveService:
                     f"unknown method {method!r}; choose from {sorted(SOLVERS)}"
                 )
             self._check_deadline(deadline)
-            options = cfg.solver_options if method == cfg.method else {}
-            if cfg.structural_batching:
-                key = structure_key(
-                    job.sfp, method, cfg.device, options, A.data.dtype
-                )
-            else:
-                key = plan_key(fp, method, cfg.device, options)
-            vfp = job.vfp
-            from_store: list = []
-
-            def build() -> _PatternEntry:
-                # Cache miss: the disk warm tier is consulted before the
-                # cold build; a loaded pattern skips the Table 5 analysis
-                # entirely, a fresh build is written back asynchronously.
-                if self.store is not None:
-                    loaded = self._load_pattern(key, job, method, obs)
-                    if loaded is not None:
-                        from_store.append(True)
-                        return loaded
-                pattern = self._build_pattern(A, method, vfp)
-                if self.store is not None:
-                    self._persist_pattern(key, job, method, pattern, obs)
-                return pattern
-
             if obs is None:
-                pattern, p_hit = self.cache.get_or_build(key, build)
-                entry, v_hit = pattern.overlay_for(vfp, A, self)
+                pattern, p_hit, store_hit = self._resolve_pattern(
+                    job, method, None, resolved
+                )
+                entry, v_hit = pattern.overlay_for(job.vfp, A, self)
                 hit = p_hit and v_hit
             else:
                 with obs.tracer.span(
                     "serve.cache_lookup", method=method
                 ) as sp:
-                    pattern, p_hit = self.cache.get_or_build(key, build)
-                    entry, v_hit = pattern.overlay_for(vfp, A, self)
+                    pattern, p_hit, store_hit = self._resolve_pattern(
+                        job, method, obs, resolved
+                    )
+                    entry, v_hit = pattern.overlay_for(job.vfp, A, self)
                     hit = p_hit and v_hit
                     sp.set(
                         result="hit" if hit else "miss",
@@ -1578,7 +1639,7 @@ class SolveService:
                     request_id=rid, fingerprint=fp, method=entry.method,
                     n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
                     cache_hit=hit,
-                    pattern_hit=p_hit, store_hit=bool(from_store),
+                    pattern_hit=p_hit, store_hit=store_hit,
                     fallback=entry.fallback,
                     coalesced=coalesced, fused=fused, bucket=bucket_n,
                     prep_time_s=prep_s, solve_time_s=share.time_s,

@@ -20,7 +20,9 @@
   permits and raised a bare ``AttributeError`` (now it takes no permit
   and raises a ``ValidationError`` naming the request's position); a
   malformed ``submit``/``solve`` counted as an error in the metrics but
-  left no failure record, so ``ServiceStats`` disagreed with them.
+  left no failure record, so ``ServiceStats`` disagreed with them;
+* the CSR, CSC and DCSR constructors coerced list ``indptr``/``indices``
+  but raised ``AttributeError`` on a list ``data``.
 """
 
 import math
@@ -250,6 +252,27 @@ class TestAstypeAliasing:
 
         with pytest.raises(ShapeMismatchError):
             A.matvec(np.ones(25), out=np.zeros(24))
+
+
+class TestListDataInConstructors:
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1, 2]],
+                             ids=["float", "int"])
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "dcsr"])
+    def test_list_data_is_coerced(self, fmt, values):
+        """Every array given as a Python list is coerced, ``data`` too:
+        float lists stay float64 and integer lists become float64, as
+        integer arrays do."""
+        build = {
+            "csr": lambda: CSRMatrix(2, 3, [0, 1, 2], [0, 1], values),
+            "csc": lambda: CSCMatrix(3, 2, [0, 1, 2], [0, 1], values),
+            "dcsr": lambda: DCSRMatrix(2, 3, [0, 1], [0, 1, 2], [0, 1],
+                                       values),
+        }[fmt]
+        A = build()
+        assert isinstance(A.data, np.ndarray)
+        assert A.data.dtype == np.float64
+        np.testing.assert_array_equal(A.data, [1.0, 2.0])
+        assert A.nnz == 2
 
 
 class TestCacheFalsyValues:

@@ -12,6 +12,7 @@ values, and binding constructs no plan, executor or step object.
 
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -314,6 +315,108 @@ def test_two_overlays_solving_at_once_each_answer_their_own(monkeypatch,
     for V, x in zip((V1, V2), got):
         x_ref, _ = SOLVERS["recursive-block"](device=DEVICE).prepare(V).solve(b)
         assert x.tobytes() == x_ref.tobytes()
+
+
+def _race_for_one_overlay(monkeypatch, svc, V, b, n):
+    """``n`` threads solve ``V`` at once on ``svc``'s cached pattern.
+
+    The first bind waits until every thread is inside ``overlay_for``,
+    so the others meet its flight.  Returns each thread's result or
+    exception and the number of binds."""
+    from repro.core.rebind import PlanRebinder
+
+    entered = threading.Semaphore(0)
+    overlay_for = service_module._PatternEntry.overlay_for
+    bind = PlanRebinder.bind
+    binds = []
+
+    def entering(self, *args):
+        entered.release()
+        return overlay_for(self, *args)
+
+    def binding(self, data):
+        binds.append(data)
+        if len(binds) == 1:
+            for _ in range(n):
+                assert entered.acquire(timeout=30)
+            time.sleep(0.05)  # let the others reach the flight
+        return bind(self, data)
+
+    monkeypatch.setattr(service_module._PatternEntry, "overlay_for",
+                        entering)
+    monkeypatch.setattr(PlanRebinder, "bind", binding)
+    outcomes: list = [None] * n
+    start = threading.Barrier(n, timeout=30)
+
+    def caller(i):
+        start.wait()
+        try:
+            outcomes[i] = svc.solve(V, b)
+        except Exception as exc:  # noqa: BLE001 - asserted by the caller
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+    assert not any(t.is_alive() for t in threads)
+    return outcomes, len(binds)
+
+
+def test_concurrent_requests_for_new_values_bind_them_once(monkeypatch):
+    """Requests for the same new values on a cached pattern, met inside
+    ``overlay_for``, bind those values once: one request builds the
+    overlay, and the others wait on its flight and count as values
+    hits; every answer is the direct build's."""
+    L = random_lower(200, 0.04, seed=33)
+    V = _scaled(L, 7)
+    b = np.random.default_rng(34).standard_normal(L.n_rows)
+    n = 4
+    with _service() as svc:
+        svc.solve(L, b)
+        outcomes, binds = _race_for_one_overlay(monkeypatch, svc, V, b, n)
+        assert _only_pattern(svc)._flights == {}
+        records = svc.records()[1:]
+    assert binds == 1
+    assert sorted(r.cache_hit for r in outcomes) == [False] + [True] * (n - 1)
+    assert len(records) == n and all(r.pattern_hit for r in records)
+    x_ref, _ = SOLVERS["recursive-block"](device=DEVICE).prepare(V).solve(b)
+    for res in outcomes:
+        assert res.x.tobytes() == x_ref.tobytes()
+
+
+def test_a_failed_bind_hands_its_flight_to_a_waiter(monkeypatch):
+    """A bind that fails (a zero on the diagonal) hands its flight on:
+    each waiter takes it over in turn and fails the same way, and no
+    flight or overlay of those values is left behind."""
+    from repro.errors import SingularMatrixError
+
+    L = random_lower(200, 0.04, seed=35)
+    rows = np.repeat(np.arange(L.n_rows), L.row_counts())
+    data = L.data.copy()
+    data[np.flatnonzero(L.indices == rows)[L.n_rows // 2]] = 0.0
+    V = CSRMatrix(L.n_rows, L.n_cols, L.indptr, L.indices, data)
+    b = np.ones(L.n_rows)
+    n = 4
+    with _service() as svc:
+        svc.solve(L, b)
+        outcomes, binds = _race_for_one_overlay(monkeypatch, svc, V, b, n)
+        pattern = _only_pattern(svc)
+        assert pattern._flights == {}
+        assert fingerprints(V)[2] not in pattern.overlays
+        records = svc.records()[1:]
+    assert binds == n
+    assert all(type(o) is SingularMatrixError for o in outcomes), outcomes
+    assert len(records) == n
+    assert all(r.error and r.error.startswith("SingularMatrixError")
+               for r in records)
 
 
 def test_a_bind_gathers_each_diagonal_once(monkeypatch):

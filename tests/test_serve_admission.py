@@ -296,6 +296,86 @@ class TestHashing:
             )
 
     @staticmethod
+    def _keeping_snapshots(monkeypatch) -> list:
+        """Every admission snapshot the service takes, in order."""
+        snapshots = []
+        take = service_module._snapshot
+
+        def keeping(*args):
+            snapshots.append(take(*args))
+            return snapshots[-1]
+
+        monkeypatch.setattr(service_module, "_snapshot", keeping)
+        return snapshots
+
+    def test_values_variants_share_one_structure_copy_and_digest(
+        self, monkeypatch
+    ):
+        """k values variants made with ``dataclasses.replace`` hold the
+        very same index arrays: a batch copies and hashes those once,
+        into read-only copies every variant's snapshot shares, and each
+        variant's data on its own; every digest is the unshared one."""
+        L = random_lower(80, 0.1, seed=47)
+        variants = [
+            replace(L, data=L.data * (1.0 + j), _validated=True)
+            for j in range(4)
+        ]
+        rng = np.random.default_rng(48)
+        bs = [rng.standard_normal(L.n_rows) for _ in variants]
+        digests = [matrix_fingerprint(V) for V in variants]
+        recording = _RecordingHashlib()
+        monkeypatch.setattr(fingerprint_module, "hashlib", recording)
+        snapshots = self._keeping_snapshots(monkeypatch)
+        with SolveService(ServiceConfig(max_workers=1)) as svc:
+            out = svc.solve_batch(
+                [SolveRequest(A=V, b=b) for V, b in zip(variants, bs)]
+            )
+            records = svc.records()
+        assert len(snapshots) == len(variants)
+        for name in ("indptr", "indices"):
+            assert recording.log.count(getattr(L, name).tobytes()) == 1, name
+            assert len({id(getattr(S, name)) for S in snapshots}) == 1, name
+            copy = getattr(snapshots[0], name)
+            assert not copy.flags.writeable, name
+            assert not np.shares_memory(copy, getattr(L, name)), name
+        for V, S in zip(variants, snapshots):
+            assert recording.log.count(V.data.tobytes()) == 1
+            assert not np.shares_memory(S.data, V.data)
+        assert [r.fingerprint for r in records] == digests
+        assert len(out.buckets) == 1 and out.buckets[0].n_groups == 4
+        for res, V, b in zip(out, variants, bs):
+            np.testing.assert_allclose(
+                res.x, solve_serial(V, b), rtol=1e-10, atol=1e-12
+            )
+
+    def test_an_equal_content_twin_is_copied_and_hashed_on_its_own(
+        self, monkeypatch
+    ):
+        """Sharing goes by identity within one batch: an equal-content
+        twin with its own arrays gets its own copy and digest even when
+        a values variant shares the original's index arrays."""
+        L = random_lower(80, 0.1, seed=49)
+        V = replace(L, data=L.data * 2.0, _validated=True)
+        twin = copy_of(L)
+        b = np.ones(L.n_rows)
+        recording = _RecordingHashlib()
+        monkeypatch.setattr(fingerprint_module, "hashlib", recording)
+        snapshots = self._keeping_snapshots(monkeypatch)
+        with SolveService(ServiceConfig(max_workers=1)) as svc:
+            out = svc.solve_batch(
+                [SolveRequest(A=M, b=b) for M in (L, V, twin)]
+            )
+        s_L, s_V, s_twin = snapshots
+        for name in ("indptr", "indices"):
+            assert getattr(s_V, name) is getattr(s_L, name), name
+            assert getattr(s_twin, name) is not getattr(s_L, name), name
+            assert not getattr(s_twin, name).flags.writeable, name
+            assert recording.log.count(getattr(L, name).tobytes()) == 2, name
+        assert recording.log.count(L.data.tobytes()) == 2
+        assert recording.log.count(V.data.tobytes()) == 1
+        assert np.array_equal(out[0].x, out[2].x)
+
+    @staticmethod
     def _flipped(A, name, pos):
         arr = getattr(A, name).copy()
         arr.view(np.uint8)[pos] ^= 0x01
@@ -753,6 +833,143 @@ class TestSolveOnTheCallersThread:
         assert traces == [fused_alone.trace_id] * 2 + [lone_alone.trace_id] \
             + [outer.trace_id] * 3
         assert [f["trace_id"] for f in obs.recorder.frames()] == traces
+
+
+def _lookups(svc) -> int:
+    stats = svc.cache.stats()
+    return stats.hits + stats.misses
+
+
+class TestOnePatternLookupPerBucket:
+    @pytest.mark.parametrize("store", [False, True], ids=["cold", "store"])
+    def test_a_bucket_of_g_groups_makes_one_cache_lookup(self, tmp_path,
+                                                         store):
+        """The first group of a bucket resolves its pattern and the later
+        ones reuse it: one ``PlanCache`` lookup per bucket, while every
+        group still records its own flags, ``serve.cache_lookup`` span
+        and ``repro_cache_lookups_total`` sample as before."""
+        L = random_lower(90, 0.1, seed=55)
+        b = np.ones(L.n_rows)
+        variants = [
+            replace(L, data=L.data * (1.0 + j), _validated=True)
+            for j in range(4)
+        ]
+        path = str(tmp_path) if store else None
+        if store:
+            with SolveService(ServiceConfig(max_workers=1,
+                                            store_path=path)) as warm:
+                warm.solve(L, b)
+        obs = Observability()
+        with SolveService(ServiceConfig(max_workers=1, overlay_capacity=8,
+                                        store_path=path, obs=obs)) as svc:
+            for _ in range(2):
+                before = _lookups(svc)
+                out = svc.solve_batch([SolveRequest(A=V, b=b)
+                                       for V in variants])
+                assert len(out.buckets) == 1
+                assert out.buckets[0].n_groups == len(variants)
+                assert _lookups(svc) - before == len(out.buckets)
+            records = svc.records()
+        assert [(r.cache_hit, r.pattern_hit, r.store_hit)
+                for r in records] == (
+            [(False, False, store)] + [(False, True, False)] * 3
+            + [(True, True, False)] * 4
+        )
+        spans = [s for s in obs.tracer.spans()
+                 if s.name == "serve.cache_lookup"]
+        assert [s.attrs["pattern"] for s in spans] == (
+            ["miss"] + ["hit"] * 7
+        )
+        assert [s.attrs["result"] for s in spans] == (
+            ["miss"] * 4 + ["hit"] * 4
+        )
+        lookups = obs.serve_metrics.cache_lookups
+        assert lookups.value(result="miss") == 4
+        assert lookups.value(result="hit") == 4
+
+    @pytest.mark.parametrize("faults", [None, 1], ids=["every", "first"])
+    def test_a_failed_pattern_build_fails_only_its_group(self, faults):
+        """A group whose pattern build raises fails as it would alone,
+        and the next group tries the lookup again: with every build
+        failing, every group is recorded as failed; with only the first
+        failing, the second builds and the third reuses its pattern."""
+        L = random_lower(70, 0.1, seed=57)
+        b = np.ones(L.n_rows)
+        variants = [
+            replace(L, data=L.data * (1.0 + j), _validated=True)
+            for j in range(3)
+        ]
+        injector = FaultInjector(build_error=True, max_faults=faults)
+        svc = SolveService(ServiceConfig(max_workers=1, fallback=False),
+                           fault_injector=injector)
+        with pytest.raises(Exception) as info:
+            svc.solve_batch([SolveRequest(A=V, b=b) for V in variants])
+        assert type(info.value).__name__ == "InjectedFaultError"
+        records = svc.records()
+        stats = svc.cache.stats()
+        assert svc.admission_available == svc.config.queue_limit
+        svc.close()
+        failed = [r.error is not None for r in records]
+        if faults is None:
+            assert failed == [True, True, True]
+            assert (stats.misses, stats.hits) == (3, 0)
+        else:
+            assert failed == [True, False, False]
+            assert [r.pattern_hit for r in records[1:]] == [False, True]
+            assert (stats.misses, stats.hits) == (2, 0)
+            for res_rec, V in zip(records[1:], variants[1:]):
+                assert res_rec.fingerprint == matrix_fingerprint(V)
+
+
+class TestAdmissionPermits:
+    def test_a_batch_larger_than_the_free_permits_is_refused_whole(self):
+        """A 12-request batch with 11 permits free takes none of them:
+        all 12 are counted rejected under their tenants, and once the
+        request holding the 12th permit finishes every permit is back."""
+        L = random_lower(70, 0.1, seed=59)
+        b = np.ones(L.n_rows)
+        obs = Observability()
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=12,
+                                         obs=obs))
+        svc.solve(L, b)
+        park = ParkAt("solve")
+        svc.install_fault_injector(park)
+        held = svc.submit(L, b)
+        try:
+            assert park.parked.acquire(timeout=10)
+            assert svc.admission_available == 11
+            with pytest.raises(ServiceOverloadedError):
+                svc.solve_batch([
+                    SolveRequest(A=L, b=b, tenant="ab"[i % 2])
+                    for i in range(12)
+                ])
+            assert svc.admission_available == 11
+            svc.install_fault_injector(None)
+            assert len(svc.solve_batch(
+                [SolveRequest(A=L, b=b) for _ in range(11)]
+            )) == 11
+        finally:
+            park.go.set()
+        held.result(timeout=10)
+        assert svc.admission_available == 12
+        stats = svc.stats()
+        svc.close()
+        assert stats.rejected == 12
+        assert stats.per_tenant["a"]["rejected"] == 6
+        assert stats.per_tenant["b"]["rejected"] == 6
+        rejected = obs.metrics_dict()["repro_rejected_total"]["samples"]
+        assert {s["labels"]["tenant"]: s["value"] for s in rejected} == {
+            "a": 6, "b": 6,
+        }
+
+    def test_a_release_past_the_queue_limit_raises(self):
+        svc = SolveService(ServiceConfig(max_workers=1, queue_limit=3))
+        svc._admit(["x", "y"])
+        svc._release(2)
+        with pytest.raises(ValueError):
+            svc._release(1)
+        assert svc.admission_available == 3
+        svc.close()
 
 
 class TestBucketsRunInOrder:
