@@ -306,14 +306,21 @@ class ServeMetrics:
         self._tenant_keys: dict[str, tuple] = {}
 
     def tenant_keys(self, tenant: str) -> tuple:
-        """``(ok, tenant)``: the sample keys of a successful request in
-        ``requests_total`` and of ``tenant`` in the per-tenant histograms
-        (request latency, simulated latency, queue wait), resolved once
+        """``(status, tenant)``: ``status`` maps each terminal status
+        (``ok``, ``timeout``, ``error``) to the sample key of a request of
+        ``tenant`` that ended with it in ``requests_total``, and
+        ``tenant`` is the key of ``tenant`` in the per-tenant histograms
+        (request latency, simulated latency, queue wait); resolved once
         per tenant."""
         keys = self._tenant_keys.get(tenant)
         if keys is None:
             keys = self._tenant_keys[tenant] = (
-                self.requests_total.key(status="ok", tenant=tenant),
+                {
+                    status: self.requests_total.key(
+                        status=status, tenant=tenant
+                    )
+                    for status in ("ok", "timeout", "error")
+                },
                 self.request_latency.key(tenant=tenant),
             )
         return keys

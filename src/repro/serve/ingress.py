@@ -423,9 +423,9 @@ class AsyncSolveService:
         t_submit = monotonic()
         rel = deadline_s if deadline_s is not None else klass.deadline_s
         deadline = None if rel is None else t_submit + rel
-        self._bump_tenant(tenant, "submitted")
         with self._stats_lock:
             self._life["submitted"] += 1
+            self._tenant_counts(tenant)["submitted"] += 1
 
         if self._depth[klass.name] >= klass.queue_limit:
             admitted = await self._wait_for_space(klass, t_submit)
@@ -434,8 +434,7 @@ class AsyncSolveService:
                 if victim is not None:
                     self._shed(victim, "evicted")
                 else:
-                    self._count_shed(klass.name, tenant, "admission")
-                    self._note_shed(tenant, "admission", t_submit)
+                    self._count_shed(klass.name, tenant, "admission", t_submit)
                     raise IngressShedError(
                         f"class {klass.name!r} queue full "
                         f"({klass.queue_limit} queued) past the "
@@ -464,7 +463,7 @@ class AsyncSolveService:
         with self._stats_lock:
             self._life["admitted"] += 1
             self._per_class[klass.name]["admitted"] += 1
-        self._bump_tenant(tenant, "admitted")
+            self._tenant_counts(tenant)["admitted"] += 1
         obs = self.service.observability
         if obs is not None:
             m = obs.serve_metrics
@@ -536,31 +535,29 @@ class AsyncSolveService:
     # ------------------------------------------------------------------
     # shed bookkeeping
 
-    def _count_shed(self, class_name: str, tenant: str, reason: str) -> None:
+    def _count_shed(
+        self, class_name: str, tenant: str, reason: str, since: float,
+        queued: bool = False,
+    ) -> None:
+        """Attribute one shed of a request that arrived at ``since``: the
+        reason, class and tenant counts, and with a bundle the shed
+        counter plus a recorder frame and SLO evaluation (a shed is a
+        breach for error-rate policies).  A ``queued`` request's frame
+        carries its wait in queue."""
+        wall = monotonic() - since
         with self._stats_lock:
             self._shed_by_reason[reason] = (
                 self._shed_by_reason.get(reason, 0) + 1
             )
             self._per_class[class_name]["shed"] += 1
-        self._bump_tenant(tenant, "shed")
+            self._tenant_counts(tenant)["shed"] += 1
         obs = self.service.observability
         if obs is not None:
-            obs.serve_metrics.ingress_sheds.inc(
-                reason=reason, tenant=tenant
-            )
-
-    def _note_shed(
-        self, tenant: str, reason: str, t_submit: float,
-        queue_wait_s: float | None = None,
-    ) -> None:
-        """Mirror a shed into the recorder + SLO engine (a shed is a
-        breach for error-rate policies)."""
-        obs = self.service.observability
-        if obs is not None:
+            obs.serve_metrics.ingress_sheds.inc(reason=reason, tenant=tenant)
             obs.note_request(
                 tenant=tenant,
-                queue_wait_s=queue_wait_s,
-                wall_s=monotonic() - t_submit,
+                queue_wait_s=wall if queued else None,
+                wall_s=wall,
                 outcome=f"shed:{reason}",
             )
 
@@ -571,10 +568,9 @@ class AsyncSolveService:
             return
         pending.state = "shed"
         self._release_slot(pending)
-        self._count_shed(pending.klass.name, pending.tenant, reason)
-        self._note_shed(
-            pending.tenant, reason, pending.enq_t,
-            queue_wait_s=monotonic() - pending.enq_t,
+        self._count_shed(
+            pending.klass.name, pending.tenant, reason, pending.enq_t,
+            queued=True,
         )
         if not pending.future.done():
             pending.future.set_exception(
@@ -679,7 +675,7 @@ class AsyncSolveService:
             result = batch[0]
             with self._stats_lock:
                 self._life["completed"] += 1
-            self._bump_tenant(pending.tenant, "completed")
+                self._tenant_counts(pending.tenant)["completed"] += 1
             if not pending.future.done():
                 pending.future.set_result(result)
         except asyncio.CancelledError:
@@ -692,7 +688,7 @@ class AsyncSolveService:
                     self._life["timeouts"] += 1
                 else:
                     self._life["failed"] += 1
-            self._bump_tenant(pending.tenant, "failed")
+                self._tenant_counts(pending.tenant)["failed"] += 1
             if not pending.future.done():
                 pending.future.set_exception(exc)
         finally:
@@ -703,16 +699,16 @@ class AsyncSolveService:
     # ------------------------------------------------------------------
     # introspection
 
-    def _bump_tenant(self, tenant: str, key: str) -> None:
-        with self._stats_lock:
-            d = self._per_tenant.setdefault(
-                tenant,
-                {
-                    "submitted": 0, "admitted": 0, "shed": 0,
-                    "completed": 0, "failed": 0,
-                },
-            )
-            d[key] += 1
+    def _tenant_counts(self, tenant: str) -> dict:
+        """``tenant``'s lifetime counters; the caller holds
+        ``_stats_lock``."""
+        d = self._per_tenant.get(tenant)
+        if d is None:
+            d = self._per_tenant[tenant] = {
+                "submitted": 0, "admitted": 0, "shed": 0,
+                "completed": 0, "failed": 0,
+            }
+        return d
 
     def total_depth(self) -> int:
         """Live queued requests across every class."""

@@ -28,8 +28,12 @@ economy behind one object:
   per-request deadlines;
 * a planner failure degrades gracefully to the level-set baseline and
   is recorded as a fallback;
-* every request emits a :class:`RequestRecord`; :meth:`SolveService.stats`
-  aggregates them into a :class:`ServiceStats` snapshot.
+* every admitted request emits exactly one :class:`RequestRecord`, on
+  every exit — solved, failed, timed out mid-solve, shed at pickup,
+  interrupted, or kept from running by an interrupt — and with a bundle
+  attached its metric samples, recorder frame and SLO evaluation derive
+  from that record; :meth:`SolveService.stats` aggregates the records
+  into a :class:`ServiceStats` snapshot.
 
 >>> with SolveService(max_workers=4, cache_capacity=16) as svc:
 ...     r = svc.solve(L, b)                 # miss: prepares, caches
@@ -75,11 +79,11 @@ from repro.formats.triangular import (
 )
 from repro.gpu.cost import CostModel
 from repro.gpu.device import TITAN_RTX_SCALED, DeviceModel
-from repro.gpu.report import KernelReport
+from repro.gpu.report import KernelReport, SolveReport
 from repro.kernels import SPMV_KERNELS, SPTRSV_KERNELS
 from repro.kernels.sptrsv_serial import SerialKernel
 from repro.obs.clock import monotonic
-from repro.obs.runtime import Observability
+from repro.obs.runtime import _NULL_CM, Observability
 from repro.serve.batch import BatchResult, BucketInfo
 from repro.serve.cache import PlanCache
 from repro.serve.fingerprint import fingerprints, plan_key, structure_key
@@ -101,6 +105,36 @@ __all__ = [
 
 #: the triangular kernels a plan-store entry may name
 _TRI_KERNELS = {**SPTRSV_KERNELS, SerialKernel.name: SerialKernel}
+
+#: the attributes each serve span opens with, in the order :func:`_span`
+#: takes their values
+_SPAN_ATTRS = {
+    "serve.bucket": ("method", "tenant", "n_groups", "n_requests"),
+    "serve.request": ("method", "tenant", "coalesced"),
+    "serve.cache_lookup": ("method",),
+    "serve.solve": ("method", "n_rhs", "n_devices"),
+    "serve.store.load": ("method",),
+    "serve.store.write": ("method",),
+}
+
+#: what a request that ran no solve reports: no simulated time, no launches
+_NO_REPORT = SolveReport("", 0.0, 0.0, 0)
+
+#: the lifetime counter of each terminal status
+_LIFETIME = {"ok": "completed", "timeout": "timeouts", "error": "failed"}
+
+
+def _span(obs: Observability | None, name: str, *values):
+    """Span ``name`` on the service's own bundle ``obs``, opened with
+    ``values`` for its :data:`_SPAN_ATTRS`; without a bundle, a shared
+    no-op context manager, so no attribute dict is built and a bundle
+    the caller activated sees no serve span."""
+    if obs is None:
+        return _NULL_CM
+    span = obs.tracer.span(name)
+    span.attrs.update(zip(_SPAN_ATTRS[name], values))
+    return span
+
 
 class ServiceTimeoutError(ServiceError):
     """A request's deadline expired before its solve could run."""
@@ -692,7 +726,9 @@ class SolveService:
         tuples.  Returns a :class:`BatchResult` (list-compatible,
         results in request order) carrying per-bucket fusion info.
         Every bucket runs even if an earlier one fails; the first
-        failing bucket's exception is then raised.
+        failing bucket's exception is then raised.  An interrupt stops
+        the batch: the buckets it kept from running are accounted as
+        failed with it before it propagates.
         Every matrix and right-hand side is copied at admission, so the
         caller may reuse them once this returns (it returns only after
         the whole batch is solved).
@@ -774,12 +810,12 @@ class SolveService:
         out: list[SolveResult | None] = [None] * len(reqs)
         infos: list[BucketInfo] = []
         first_error: Exception | None = None
-        unrun = len(reqs)
+        pending = [list(groups.values()) for groups in buckets.values()]
+        started = 0
         submitted_at = monotonic()
         try:
-            for groups in buckets.values():
-                jobs = list(groups.values())
-                unrun -= sum(len(j.rids) for j in jobs)
+            for jobs in pending:
+                started += 1
                 try:
                     results, info = self._run_bucket_task(
                         jobs, deadline, submitted_at, False
@@ -792,8 +828,9 @@ class SolveService:
                 positions = [p for j in jobs for p in j.positions]
                 for pos, res in zip(positions, results):
                     out[pos] = res
-        finally:
-            self._release(unrun)  # buckets an interrupt kept from running
+        except BaseException as exc:
+            self._account_unrun(pending[started:], submitted_at, exc)
+            raise
         if first_error is not None:
             raise first_error
         return BatchResult(out, infos, monotonic() - t_batch)
@@ -801,20 +838,6 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Execution (pool workers and synchronous callers)
     # ------------------------------------------------------------------ #
-    def _record(self, rec: RequestRecord) -> None:
-        with self._records_lock:
-            self._records.append(rec)
-            life = self._lifetime
-            life["requests"] += 1
-            if rec.timed_out:
-                life["timeouts"] += 1
-                if rec.shed_expired:
-                    life["shed_expired"] += 1
-            elif rec.error is not None:
-                life["failed"] += 1
-            else:
-                life["completed"] += 1
-
     def _attach_dist(self, prepared, placement=None) -> object | None:
         """The sharded executor for ``prepared`` when the service is
         configured with more than one device (``placement``: a persisted
@@ -998,18 +1021,12 @@ class SolveService:
             "method": method,
             "device": cfg.device.name,
         }
-        if obs is not None:
-            with obs.span("serve.store.load", method=method) as sp:
-                result, loaded = self.store.lookup(key, expect=expect)
-                pattern = self._reconstruct(loaded, key, A)
-                if loaded is not None and pattern is None:
-                    result = "corrupt"
-                sp.set(result=result)
-        else:
+        with _span(obs, "serve.store.load", method) as sp:
             result, loaded = self.store.lookup(key, expect=expect)
             pattern = self._reconstruct(loaded, key, A)
             if loaded is not None and pattern is None:
                 result = "corrupt"
+            sp.set(result=result)
         if obs is not None:
             obs.serve_metrics.store_lookups.inc(result=result)
         if pattern is not None:
@@ -1210,12 +1227,10 @@ class SolveService:
             "n": A.n_rows,
             "nnz": A.nnz,
         }
-        if obs is not None:
-            with obs.span("serve.store.write", method=method):
-                self.store.put(key, header, decisions, arrays)
-            obs.serve_metrics.store_writes.inc()
-        else:
+        with _span(obs, "serve.store.write", method):
             self.store.put(key, header, decisions, arrays)
+        if obs is not None:
+            obs.serve_metrics.store_writes.inc()
 
     def _build_overlay(
         self,
@@ -1318,44 +1333,48 @@ class SolveService:
         as_batch: bool,
     ):
         """Entry for one structural bucket, on a pool worker or a
-        synchronous caller's thread: activate observability (when
-        configured), run every values-group over the shared pattern
-        plan, then release admissions for the bucket."""
+        synchronous caller's thread: under the service's bundle (taken
+        here, so the whole bucket reports to the bundle it started
+        with), run every values-group over the shared pattern plan, then
+        release the bucket's admissions.  A failing group doesn't stop
+        the remaining ones; an interrupt does, and the groups it kept
+        from running are accounted as failed with it before it
+        propagates."""
         t0 = monotonic()
         total = sum(len(j.rids) for j in jobs)
         fused = len(jobs) > 1
         obs = self._obs
+        method = jobs[0].method or self.config.method
         tenant = jobs[0].tenant  # buckets are tenant-homogeneous
-        qwait = max(0.0, t0 - submitted_at)
+        bucket = (t0, max(0.0, t0 - submitted_at), len(jobs))
+        results: list[SolveResult] = []
+        errors: list[Exception] = []
+        pattern_hit = False
+        resolved: list[_PatternEntry] = []
         try:
-            if obs is None:
-                results, errors, pattern_hit = self._run_bucket_inner(
-                    jobs, deadline, t0, None, submitted_at, fused, qwait
-                )
-            else:
-                with obs.activate():
-                    if fused:
-                        with obs.tracer.span(
-                            "serve.bucket",
-                            method=jobs[0].method or self.config.method,
-                            tenant=tenant,
-                            n_groups=len(jobs),
-                            n_requests=total,
-                        ):
-                            obs.tracer.record_span(
-                                "serve.queue_wait", submitted_at, t0
-                            )
-                            metrics = obs.serve_metrics
-                            metrics.queue_wait.observe_key(
-                                metrics.tenant_keys(tenant)[1], qwait
-                            )
-                            results, errors, pattern_hit = self._run_bucket_inner(
-                                jobs, deadline, t0, obs, None, fused, qwait
-                            )
-                    else:
-                        results, errors, pattern_hit = self._run_bucket_inner(
-                            jobs, deadline, t0, obs, submitted_at, fused, qwait
+            with _NULL_CM if obs is None else obs.activate(), _span(
+                obs if fused else None, "serve.bucket",
+                method, tenant, len(jobs), total,
+            ):
+                # the queue wait goes under the bucket's first serve span
+                if fused and obs is not None:
+                    self._note_queue_wait(obs, tenant, submitted_at, bucket)
+                for i, job in enumerate(jobs):
+                    try:
+                        group, p_hit = self._run_group(
+                            job, deadline, obs, bucket, resolved,
+                            None if fused else submitted_at,
                         )
+                    except Exception as exc:  # noqa: BLE001 - first re-raised
+                        errors.append(exc)
+                        continue
+                    except BaseException as exc:
+                        for unrun in jobs[i + 1:]:
+                            self._account(obs, unrun, bucket, None, exc)
+                        raise
+                    results.extend(group)
+                    pattern_hit = pattern_hit or p_hit
+                if obs is not None:
                     metrics = obs.serve_metrics
                     metrics.batch_bucket_occupancy.observe_key(
                         (), float(total)
@@ -1368,7 +1387,7 @@ class SolveService:
             raise errors[0]
         info = BucketInfo(
             structure=jobs[0].sfp if self.config.structural_batching else None,
-            method=jobs[0].method or self.config.method,
+            method=method,
             tenant=tenant,
             n_requests=total,
             n_groups=len(jobs),
@@ -1383,304 +1402,260 @@ class SolveService:
             return BatchResult(results, [info], monotonic() - t0)
         return results, info
 
-    def _run_bucket_inner(
-        self,
-        jobs: list[_GroupJob],
-        deadline: float | None,
-        t0: float,
-        obs: Observability | None,
-        submitted_at: float | None,
-        fused: bool,
-        qwait: float | None = None,
-    ):
-        """Run the bucket's groups sequentially over the shared pattern
-        plan; a failing group doesn't stop the remaining ones.  The
-        first group to resolve the pattern (cache, store or build) hands
-        it to the later groups, which look up only their overlays."""
-        results: list[SolveResult] = []
-        errors: list[Exception] = []
-        pattern_hit = False
-        bucket_n = len(jobs)
-        resolved: list[_PatternEntry] = []
-        for job in jobs:
-            try:
-                if obs is None:
-                    group_results, p_hit = self._run_group_inner(
-                        job, deadline, None, t0, fused, bucket_n, resolved,
-                        qwait,
-                    )
-                else:
-                    metrics = obs.serve_metrics
-                    with obs.tracer.span(
-                        "serve.request",
-                        method=job.method or self.config.method,
-                        tenant=job.tenant,
-                        coalesced=len(job.rids),
-                    ) as req_span:
-                        if submitted_at is not None:
-                            obs.tracer.record_span(
-                                "serve.queue_wait", submitted_at, t0
-                            )
-                            metrics.queue_wait.observe_key(
-                                metrics.tenant_keys(job.tenant)[1], qwait
-                            )
-                            submitted_at = None
-                        try:
-                            group_results, p_hit = self._run_group_inner(
-                                job, deadline, obs, t0, fused, bucket_n,
-                                resolved, qwait,
-                            )
-                        except ServiceTimeoutError:
-                            metrics.requests_total.inc(
-                                len(job.rids), status="timeout",
-                                tenant=job.tenant,
-                            )
-                            self._note_failure(
-                                obs, job, req_span, t0, qwait, "timeout"
-                            )
-                            raise
-                        except Exception:
-                            metrics.requests_total.inc(
-                                len(job.rids), status="error",
-                                tenant=job.tenant,
-                            )
-                            self._note_failure(
-                                obs, job, req_span, t0, qwait, "error"
-                            )
-                            raise
-                results.extend(group_results)
-                pattern_hit = pattern_hit or p_hit
-            except Exception as exc:  # noqa: BLE001 - collected, first re-raised
-                errors.append(exc)
-        return results, errors, pattern_hit
+    @staticmethod
+    def _note_queue_wait(obs: Observability, tenant: str,
+                         submitted_at: float, bucket: tuple) -> None:
+        """A bucket's queue wait: a ``serve.queue_wait`` span under the
+        current span and one ``repro_queue_wait_seconds`` sample."""
+        t0, qwait = bucket[0], bucket[1]
+        obs.tracer.record_span("serve.queue_wait", submitted_at, t0)
+        metrics = obs.serve_metrics
+        metrics.queue_wait.observe_key(metrics.tenant_keys(tenant)[1], qwait)
 
-    def _note_failure(
-        self,
-        obs: Observability,
-        job: _GroupJob,
-        req_span,
-        t0: float,
-        qwait: float | None,
-        outcome: str,
-    ) -> None:
-        """Feed a failed group to the recorder + SLO engine, then dump
-        the flight recorder for the incident (bounded by its cap)."""
-        wall = monotonic() - t0
-        tid = req_span.trace_id if req_span is not None else None
-        for _ in job.rids:
-            obs.note_request(
-                tenant=job.tenant,
-                fingerprint=job.fp,
-                method=job.method or self.config.method,
-                queue_wait_s=qwait,
-                wall_s=wall,
-                outcome=outcome,
-                trace_id=tid,
-            )
-        obs.note_incident(outcome, trace_id=tid)
-
-    def _run_group_inner(
+    def _run_group(
         self,
         job: _GroupJob,
         deadline: float | None,
         obs: Observability | None,
-        t0: float,
-        fused: bool,
-        bucket_n: int,
+        bucket: tuple,
         resolved: list[_PatternEntry],
-        qwait: float | None = None,
+        submitted_at: float | None,
     ) -> tuple[list[SolveResult], bool]:
-        """Solve one group; ``resolved`` holds the bucket's pattern once
-        a group has resolved it."""
-        cfg = self.config
-        A = job.A
-        # read defensively: a malformed A (not a CSRMatrix) must still
-        # leave its failure records behind
-        n, nnz = getattr(A, "n_rows", 0), getattr(A, "nnz", 0)
-        method = job.method or cfg.method
-        coalesced = len(job.rids)
-        n_dev = cfg.n_devices
-        dev_label = "0" if n_dev == 1 else f"0-{n_dev - 1}"
-        ncols = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
-        if deadline is not None and monotonic() > deadline:
-            # The deadline expired while the request sat in queue: shed
-            # it *now*, before paying the fingerprint, cache lookup, and
-            # solve it can no longer use.  Recorded as shed_expired — a
-            # sub-category of timeouts distinct from mid-solve expiry
-            # (the queue wait was already measured by the caller).
-            wall = monotonic() - t0
-            for rid, k in zip(job.rids, ncols):
-                self._record(RequestRecord(
-                    request_id=rid, fingerprint=job.fp or "", method=method,
-                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
-                    coalesced=coalesced, fused=fused, bucket=bucket_n,
-                    wall_time_s=wall, device=dev_label,
-                    timed_out=True, shed_expired=True,
-                ))
+        """Serve one group under its ``serve.request`` span and account
+        for it on every exit; returns ``(results, pattern_hit)``.
+        ``submitted_at`` is set when the group's span is the first of its
+        bucket, which then records the queue wait.  A group whose
+        deadline expired while it was queued is shed before paying the
+        fingerprint, cache lookup and solve it can no longer use: a
+        timeout whose records say ``shed_expired``."""
+        with _span(
+            obs, "serve.request",
+            job.method or self.config.method, job.tenant, len(job.rids),
+        ) as sp:
+            trace_id = None
             if obs is not None:
-                obs.serve_metrics.ingress_sheds.inc(
-                    len(job.rids), reason="expired", tenant=job.tenant
-                )
-            raise ServiceTimeoutError(
-                "request deadline expired while queued (shed before solve)"
-            )
-        trace_id: int | None = None
+                trace_id = sp.trace_id
+                if submitted_at is not None:
+                    self._note_queue_wait(obs, job.tenant, submitted_at, bucket)
+            shed = deadline is not None and monotonic() > deadline
+            try:
+                if shed:
+                    raise ServiceTimeoutError(
+                        "request deadline expired while queued "
+                        "(shed before solve)"
+                    )
+                done = self._solve_group(job, deadline, obs, sp, resolved)
+            except BaseException as exc:
+                self._account(obs, job, bucket, trace_id, exc, shed=shed)
+                raise
+            self._account(obs, job, bucket, trace_id, done=done)
+        return done[0], done[1]
 
-        def fail_records(error: str | None, timed_out: bool = False) -> None:
-            wall = monotonic() - t0
-            for rid, k in zip(job.rids, ncols):
-                self._record(RequestRecord(
-                    request_id=rid, fingerprint=job.fp or "", method=method,
-                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
-                    coalesced=coalesced,
-                    fused=fused, bucket=bucket_n,
-                    wall_time_s=wall, device=dev_label,
-                    trace_id=trace_id,
-                    error=error, timed_out=timed_out,
-                ))
-
+    def _account_unrun(self, buckets: list, submitted_at: float,
+                       exc: BaseException) -> None:
+        """Account for a batch's buckets that an interrupt kept from
+        running as failed with it, and free their permits."""
+        obs = self._obs
+        now = monotonic()
         try:
-            if job.error is not None:
-                raise job.error
-            if job.fp is None:  # submit path: fingerprints not yet computed
-                job.fp, job.sfp, job.vfp = fingerprints(A)
-            fp = job.fp
+            for jobs in buckets:
+                for job in jobs:
+                    bucket = (now, max(0.0, now - submitted_at), len(jobs))
+                    self._account(obs, job, bucket, None, exc)
+        finally:
+            self._release(sum(len(j.rids) for jobs in buckets for j in jobs))
+
+    def _account(
+        self,
+        obs: Observability | None,
+        job: _GroupJob,
+        bucket: tuple,
+        trace_id: int | None,
+        exc: BaseException | None = None,
+        *,
+        done: tuple | None = None,
+        shed: bool = False,
+    ) -> None:
+        """Account for every request of ``job``: the one place a service
+        request is accounted for, on every exit.
+
+        ``done`` is a solved group's ``(results, pattern_hit, store_hit,
+        prep_time_s)``; otherwise ``exc`` ended the group: a
+        :class:`ServiceTimeoutError` (mid-solve, or ``shed`` at pickup)
+        is a timeout, anything else — an interrupt, or a group an
+        interrupt kept from running, included — an error.  ``bucket`` is
+        ``(start, queue wait, groups)`` of the group's bucket.
+
+        Each request's :class:`RequestRecord` is built once and joins the
+        ring and the lifetime counts.  With a bundle, the rest derives
+        from those records and the group's shared facts — wall time,
+        trace id, queue wait, profile digest: the request counter,
+        latency, simulated-latency and fallback samples, the expired
+        shed count, one recorder frame and SLO evaluation per request,
+        and one incident dump per failed group.
+        """
+        t0, qwait, bucket_n = bucket
+        wall = monotonic() - t0
+        if done is None:
+            timed_out = isinstance(exc, ServiceTimeoutError)
+            status = "timeout" if timed_out else "error"
+            error = None if timed_out else f"{type(exc).__name__}: {exc}"
+            method = job.method or self.config.method
+            hit = p_hit = store_hit = fallback = False
+            prep_s, shares = 0.0, [_NO_REPORT] * len(job.rids)
+        else:
+            timed_out, status, error = False, "ok", None
+            results, p_hit, store_hit, prep_s = done
+            first = results[0]
+            method, hit, fallback = first.method, first.cache_hit, first.fallback
+            shares = [r.report for r in results]
+        # read defensively: a malformed A (not a CSRMatrix) is accounted too
+        n, nnz = getattr(job.A, "n_rows", 0), getattr(job.A, "nnz", 0)
+        n_dev = self.config.n_devices
+        device = "0" if n_dev == 1 else f"0-{n_dev - 1}"
+        records = [
+            RequestRecord(
+                request_id=rid, fingerprint=job.fp or "", method=method,
+                n=n, nnz=nnz, n_rhs=1 if b.ndim == 1 else b.shape[1],
+                tenant=job.tenant, cache_hit=hit, pattern_hit=p_hit,
+                store_hit=store_hit, fallback=fallback,
+                coalesced=len(job.rids), fused=bucket_n > 1,
+                bucket=bucket_n, prep_time_s=prep_s,
+                solve_time_s=share.time_s, launches=share.launches,
+                gflops=share.gflops, wall_time_s=wall, device=device,
+                trace_id=trace_id, error=error, timed_out=timed_out,
+                shed_expired=shed,
+            )
+            for rid, b, share in zip(job.rids, job.bs, shares)
+        ]
+        k = len(records)
+        with self._records_lock:
+            self._records.extend(records)
+            life = self._lifetime
+            life["requests"] += k
+            life[_LIFETIME[status]] += k
+            if shed:
+                life["shed_expired"] += k
+        if obs is None:
+            return
+        metrics = obs.serve_metrics
+        status_keys, tenant_key = metrics.tenant_keys(job.tenant)
+        metrics.requests_total.inc_key(status_keys[status], k)
+        if shed:
+            metrics.ingress_sheds.inc(k, reason="expired", tenant=job.tenant)
+        if fallback:
+            metrics.fallbacks_total.inc(k)
+        digest = None
+        if done is not None:
+            report = shares[0]
+            digest = (f"{report.launches}l/"
+                      f"{len(getattr(report, 'kernels', ()) or ())}k")
+        for rec in records:
+            sim_s = rec.sim_latency_s
+            if done is not None:
+                metrics.request_latency.observe_key(tenant_key, wall, trace_id)
+                metrics.sim_latency.observe_key(tenant_key, sim_s, trace_id)
+            obs.note_request(
+                tenant=rec.tenant, fingerprint=rec.fingerprint,
+                method=method, queue_wait_s=qwait, wall_s=wall, sim_s=sim_s,
+                digest=digest, outcome=status, trace_id=trace_id,
+            )
+        if done is None:
+            obs.note_incident(status, trace_id=trace_id)
+
+    def _solve_group(
+        self,
+        job: _GroupJob,
+        deadline: float | None,
+        obs: Observability | None,
+        request_span,
+        resolved: list[_PatternEntry],
+    ) -> tuple:
+        """Solve one group; returns ``(results, pattern_hit, store_hit,
+        prep_time_s)``.  ``resolved`` holds the bucket's pattern once a
+        group has resolved it."""
+        cfg = self.config
+        if job.error is not None:
+            raise job.error
+        A = job.A
+        if job.fp is None:  # submit path: fingerprints not yet computed
+            job.fp, job.sfp, job.vfp = fingerprints(A)
+        ncols = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
+        if obs is not None:
+            request_span.set(fingerprint=job.fp, n=A.n_rows, nnz=A.nnz,
+                             n_rhs=sum(ncols))
+        method = job.method or cfg.method
+        if method not in SOLVERS:
+            raise ValueError(
+                f"unknown method {method!r}; choose from {sorted(SOLVERS)}"
+            )
+        self._check_deadline(deadline)
+        with _span(obs, "serve.cache_lookup", method) as sp:
+            pattern, p_hit, store_hit = self._resolve_pattern(
+                job, method, obs, resolved
+            )
+            entry, v_hit = pattern.overlay_for(job.vfp, A, self)
+            hit = p_hit and v_hit
             if obs is not None:
-                current = obs.tracer.current()
-                if current is not None:
-                    current.set(fingerprint=fp, n=n, nnz=nnz,
-                                n_rhs=sum(ncols))
-                    trace_id = current.trace_id
-            if method not in SOLVERS:
-                raise ValueError(
-                    f"unknown method {method!r}; choose from {sorted(SOLVERS)}"
+                sp.set(
+                    result="hit" if hit else "miss",
+                    pattern="hit" if p_hit else "miss",
                 )
-            self._check_deadline(deadline)
-            if obs is None:
-                pattern, p_hit, store_hit = self._resolve_pattern(
-                    job, method, None, resolved
-                )
-                entry, v_hit = pattern.overlay_for(job.vfp, A, self)
-                hit = p_hit and v_hit
-            else:
-                with obs.tracer.span(
-                    "serve.cache_lookup", method=method
-                ) as sp:
-                    pattern, p_hit, store_hit = self._resolve_pattern(
-                        job, method, obs, resolved
-                    )
-                    entry, v_hit = pattern.overlay_for(job.vfp, A, self)
-                    hit = p_hit and v_hit
-                    sp.set(
-                        result="hit" if hit else "miss",
-                        pattern="hit" if p_hit else "miss",
-                    )
                 metrics = obs.serve_metrics
                 metrics.cache_lookups.inc_key(metrics.lookup_keys[hit])
-            if self._fault_injector is not None:
-                self._fault_injector.before_solve(entry.method)
-            # The plan (possibly just built and cached) survives a
-            # deadline miss — the next request amortizes it anyway.
-            self._check_deadline(deadline)
+        if self._fault_injector is not None:
+            self._fault_injector.before_solve(entry.method)
+        # The plan (possibly just built and cached) survives a
+        # deadline miss — the next request amortizes it anyway.
+        self._check_deadline(deadline)
 
-            cols = [b[:, None] if b.ndim == 1 else b for b in job.bs]
-            B0 = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
-            B = B0 if entry.perm is None else B0[entry.perm]
-            total = B.shape[1]
-            executor = entry.dist if entry.dist is not None else entry.prepared
-            solve = executor.solve if total == 1 else executor.solve_multi
-            # an external prepared type takes no overlay argument
-            args = (B[:, 0] if total == 1 else B,) + (
-                () if entry.overlay is None else (entry.overlay,)
+        cols = [b[:, None] if b.ndim == 1 else b for b in job.bs]
+        B0 = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+        B = B0 if entry.perm is None else B0[entry.perm]
+        total = B.shape[1]
+        executor = entry.dist if entry.dist is not None else entry.prepared
+        solve = executor.solve if total == 1 else executor.solve_multi
+        # an external prepared type takes no overlay argument
+        args = (B[:, 0] if total == 1 else B,) + (
+            () if entry.overlay is None else (entry.overlay,)
+        )
+        if cfg.check and isinstance(entry.prepared, PreparedSolve):
+            # the accuracy probe the engine rule stands for
+            compiled = (entry.prepared.compile() if entry.dist is None
+                        else entry.dist.compiled)
+            compiled.probe_engines(B.dtype, entry.overlay)
+        with _span(obs, "serve.solve", entry.method, total,
+                   cfg.n_devices) as sp:
+            Y, report = solve(*args)
+            if obs is not None:
+                sp.set(sim_time_s=report.time_s, launches=report.launches)
+        if total == 1:
+            Y = Y[:, None]
+        if entry.perm is not None:
+            X = np.empty_like(Y)
+            X[entry.perm] = Y
+        else:
+            X = Y
+        if cfg.check:
+            check_residual(
+                A, X, B0, tol=cfg.check_tol,
+                context=f"service:{entry.method}",
             )
-            if cfg.check and isinstance(entry.prepared, PreparedSolve):
-                # the accuracy probe the engine rule stands for
-                compiled = (entry.prepared.compile() if entry.dist is None
-                            else entry.dist.compiled)
-                compiled.probe_engines(B.dtype, entry.overlay)
-            if obs is None:
-                Y, report = solve(*args)
-            else:
-                with obs.tracer.span(
-                    "serve.solve", method=entry.method, n_rhs=total,
-                    n_devices=cfg.n_devices,
-                ) as sp:
-                    Y, report = solve(*args)
-                    sp.set(sim_time_s=report.time_s, launches=report.launches)
-            if total == 1:
-                Y = Y[:, None]
-            if entry.perm is not None:
-                X = np.empty_like(Y)
-                X[entry.perm] = Y
-            else:
-                X = Y
-            if cfg.check:
-                check_residual(
-                    A, X, B0, tol=cfg.check_tol,
-                    context=f"service:{entry.method}",
-                )
 
-            wall = monotonic() - t0
-            prep_s = 0.0 if hit else entry.prep_time_s
-            results: list[SolveResult] = []
-            col = 0
-            for rid, b, k in zip(job.rids, job.bs, ncols):
-                share = (
-                    report if total == k
-                    else report.scaled(k / total, coalesced=coalesced)
-                )
-                x = X[:, col] if b.ndim == 1 else X[:, col:col + k]
-                col += k
-                results.append(SolveResult(
-                    x=x, report=share, method=entry.method,
-                    cache_hit=hit, fallback=entry.fallback,
-                ))
-                self._record(RequestRecord(
-                    request_id=rid, fingerprint=fp, method=entry.method,
-                    n=n, nnz=nnz, n_rhs=k, tenant=job.tenant,
-                    cache_hit=hit,
-                    pattern_hit=p_hit, store_hit=store_hit,
-                    fallback=entry.fallback,
-                    coalesced=coalesced, fused=fused, bucket=bucket_n,
-                    prep_time_s=prep_s, solve_time_s=share.time_s,
-                    launches=share.launches, gflops=share.gflops,
-                    wall_time_s=wall, device=dev_label,
-                    trace_id=trace_id,
-                ))
-                if obs is not None:
-                    metrics = obs.serve_metrics
-                    sim_s = prep_s + share.time_s
-                    ok_key, tenant_key = metrics.tenant_keys(job.tenant)
-                    metrics.requests_total.inc_key(ok_key)
-                    metrics.request_latency.observe_key(
-                        tenant_key, wall, trace_id
-                    )
-                    metrics.sim_latency.observe_key(
-                        tenant_key, sim_s, trace_id
-                    )
-                    if entry.fallback:
-                        metrics.fallbacks_total.inc()
-                    obs.note_request(
-                        tenant=job.tenant,
-                        fingerprint=fp,
-                        method=entry.method,
-                        queue_wait_s=qwait,
-                        wall_s=wall,
-                        sim_s=sim_s,
-                        digest=(
-                            f"{share.launches}l/"
-                            f"{len(getattr(share, 'kernels', ()) or ())}k"
-                        ),
-                        outcome="ok",
-                        trace_id=trace_id,
-                    )
-            return results, p_hit
-        except ServiceTimeoutError:
-            fail_records(None, timed_out=True)
-            raise
-        except Exception as exc:
-            fail_records(f"{type(exc).__name__}: {exc}")
-            raise
+        results: list[SolveResult] = []
+        col = 0
+        for b, k in zip(job.bs, ncols):
+            share = (
+                report if total == k
+                else report.scaled(k / total, coalesced=len(job.rids))
+            )
+            x = X[:, col] if b.ndim == 1 else X[:, col:col + k]
+            col += k
+            results.append(SolveResult(
+                x=x, report=share, method=entry.method,
+                cache_hit=hit, fallback=entry.fallback,
+            ))
+        return results, p_hit, store_hit, 0.0 if hit else entry.prep_time_s
 
     # ------------------------------------------------------------------ #
     # Observability
