@@ -122,11 +122,10 @@ def _measure(seg: TriSegment, rng) -> tuple[float, float]:
                          lambda: prep.L)
     b = rng.uniform(0.5, 1.5, n)
     out = np.empty(n)
-    scratch = np.empty(n)
     kernel, aux = seg.kernel, seg.aux
 
     def run_engine():
-        engine.solve_into(vals, b, out, scratch)
+        engine.solve_into(vals, b, out)
 
     def run_kernel():
         out[:] = kernel.solve_numeric(aux, b, TITAN_RTX_SCALED)

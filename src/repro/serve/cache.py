@@ -89,12 +89,13 @@ class PlanCache:
         """Like :meth:`get` but returns ``_MISS`` on absence, so callers
         can tell a cached falsy value apart from a miss."""
         with self._lock:
-            if key in self._entries:
+            value = self._entries.get(key, _MISS)
+            if value is _MISS:
+                self._misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return self._entries[key]
-            self._misses += 1
-            return _MISS
+            return value
 
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
@@ -108,8 +109,12 @@ class PlanCache:
             self._entries.popitem(last=False)
             self._evictions += 1
 
-    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> tuple[Any, bool]:
-        """``(value, was_hit)``; ``builder()`` runs at most once per miss."""
+    def get_or_build(
+        self, key: Hashable, builder: Callable[..., Any], *args
+    ) -> tuple[Any, bool]:
+        """``(value, was_hit)``; ``builder(*args)`` runs at most once per
+        miss (the arguments let a caller pass a bound method rather than
+        build a closure on every lookup)."""
         value = self._lookup(key)
         if value is not _MISS:
             return value, True
@@ -134,7 +139,7 @@ class PlanCache:
                         self._hits += 1
                         self._misses -= 1
                         return self._entries[key], True
-                value = builder()
+                value = builder(*args)
                 with self._lock:
                     self._put_locked(key, value)
                 return value, False

@@ -42,7 +42,9 @@ __all__ = [
     "structure_fingerprint",
     "values_fingerprint",
     "fingerprints",
+    "pattern_key",
     "plan_key",
+    "plan_spec",
     "structure_key",
 ]
 
@@ -153,6 +155,31 @@ def _canon_options(options: Mapping[str, Any] | None) -> tuple:
     )
 
 
+def plan_spec(
+    method: str,
+    device: DeviceModel,
+    options: Mapping[str, Any] | None = None,
+) -> tuple:
+    """``(method, device name, canonical options)``: what keys a plan
+    besides its matrix digest (and, for a pattern plan, values dtype).
+
+    A service fixes these per method, so it builds the spec once and
+    keys every request with :func:`pattern_key` instead of
+    canonicalizing its options again on each lookup.
+    """
+    return (method, device.name, _canon_options(options))
+
+
+def pattern_key(structure_fp: str, values_dtype: Any, spec: tuple) -> tuple:
+    """:func:`structure_key` over a :func:`plan_spec` already built."""
+    return (
+        "structure",
+        structure_fp,
+        None if values_dtype is None else np.dtype(values_dtype).str,
+        *spec,
+    )
+
+
 def plan_key(
     fingerprint: str,
     method: str,
@@ -167,7 +194,7 @@ def plan_key(
     canonicalized by :func:`_canon_value` (type tag + exact content)
     rather than ``repr``.
     """
-    return (fingerprint, method, device.name, _canon_options(options))
+    return (fingerprint, *plan_spec(method, device, options))
 
 
 def structure_key(
@@ -186,11 +213,6 @@ def structure_key(
     state).  The leading ``"structure"`` tag keeps these keys disjoint
     from :func:`plan_key` tuples inside a shared cache.
     """
-    return (
-        "structure",
-        structure_fp,
-        None if values_dtype is None else np.dtype(values_dtype).str,
-        method,
-        device.name,
-        _canon_options(options),
+    return pattern_key(
+        structure_fp, values_dtype, plan_spec(method, device, options)
     )

@@ -68,6 +68,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    ShapeMismatchError,
     SparseFormatError,
     ValidationError,
 )
@@ -86,7 +87,12 @@ from repro.obs.clock import monotonic
 from repro.obs.runtime import _NULL_CM, Observability
 from repro.serve.batch import BatchResult, BucketInfo
 from repro.serve.cache import PlanCache
-from repro.serve.fingerprint import fingerprints, plan_key, structure_key
+from repro.serve.fingerprint import (
+    fingerprints,
+    pattern_key,
+    plan_key,
+    plan_spec,
+)
 from repro.serve.stats import RequestRecord, ServiceStats
 from repro.serve.store import PlanStore
 from repro.validate.invariants import (
@@ -164,7 +170,8 @@ class ServiceConfig:
     #: first; lifetime outcome counters stay exact past the cap, while
     #: percentiles describe the retained window — see ServiceStats)
     history_limit: int = 100_000
-    #: options forwarded to the default method's constructor
+    #: options forwarded to the default method's constructor (the
+    #: service copies them when it is built)
     solver_options: dict = field(default_factory=dict)
     #: verify plan well-formedness after prepare(), every SuperLU engine
     #: against its kernel before a solve and the residual ``‖A x − b‖``
@@ -260,6 +267,32 @@ def _snapshot(A: CSRMatrix, like: _Snapshot | None = None) -> _Snapshot:
     return snap
 
 
+def _rhs(b, n: int) -> np.ndarray:
+    """The service's own copy of a right-hand side for an ``n``-row
+    system, taken at admission: 1-D of length ``n``, or 2-D ``(n, k)``
+    with ``k >= 1``.  Any other shape raises
+    :class:`ShapeMismatchError`, so every accepted ``b`` solves as one
+    vector or as ``k`` columns."""
+    try:
+        b = np.array(b)
+    except ValueError as exc:  # a ragged sequence
+        raise ShapeMismatchError(f"b is not an array: {exc}") from None
+    if b.ndim == 1 and len(b) == n or (
+        b.ndim == 2 and len(b) == n and b.shape[1] >= 1
+    ):
+        return b
+    raise ShapeMismatchError(
+        f"b must have shape ({n},) or ({n}, k) with k >= 1, "
+        f"got {b.shape}"
+    )
+
+
+def _n_rhs(b) -> int:
+    """Right-hand sides a request's ``b`` holds, as its record counts
+    them: its columns if it is 2-D, else one (a malformed ``b`` too)."""
+    return b.shape[1] if b.ndim > 1 else 1
+
+
 def _malformed_request(pos: int, reason: str) -> ValidationError:
     """The structured error for request ``pos`` of a batch."""
     return ValidationError(
@@ -289,9 +322,10 @@ class _PlanEntry:
     overlay: Overlay | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _GroupJob:
-    """One coalesced group: same matrix content, same method."""
+    """One coalesced group: same matrix content, right-hand-side dtype
+    and method."""
 
     rids: list
     A: CSRMatrix
@@ -338,6 +372,9 @@ class _PatternEntry:
     binder: PlanRebinder | None = None
     build_prep_s: float = 0.0
     rebind_prep_s: float = 0.0
+    #: loaded from the disk store, not built: the request whose cache
+    #: miss loaded it is a store hit
+    from_store: bool = False
     overlays: OrderedDict = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _flights: dict = field(default_factory=dict)
@@ -406,14 +443,14 @@ def _on_caller_thread(door):
 
     @functools.wraps(door)
     def counted(self, *args, **kwargs):
-        with self._callers_cv:
+        with self._callers_lock:
             if self._closed:
                 raise ServiceClosedError("service has been shut down")
             self._callers += 1
         try:
             return door(self, *args, **kwargs)
         finally:
-            with self._callers_cv:
+            with self._callers_lock:
                 self._callers -= 1
                 # only close() waits, and it sets _closed under this
                 # lock before it waits, so no waiter can be missed
@@ -466,6 +503,16 @@ class SolveService:
             )
         validate_solver_options(cfg.method, cfg.solver_options)
         self.config = cfg
+        # The default method's options, copied once: every build and
+        # every cache key reads this copy, so the plan spec that keys a
+        # method's patterns (with the request's structure digest and
+        # values dtype) is built once per method, not per lookup.
+        self._solver_options = dict(cfg.solver_options)
+        self._specs: dict[str, tuple] = {}
+        #: every record's device label
+        self._device = (
+            "0" if cfg.n_devices == 1 else f"0-{cfg.n_devices - 1}"
+        )
         self.cache = PlanCache(cfg.cache_capacity)
         if cfg.store is not None:
             self.store: PlanStore | None = cfg.store
@@ -500,9 +547,12 @@ class SolveService:
         self._closed = False
         # Synchronous solves running on their callers' threads: close()
         # waits for this count to reach zero, as the pool's shutdown
-        # waits for its workers.
+        # waits for its workers.  Callers update the count under the
+        # plain lock (a condition's enter and exit run in Python);
+        # close() waits on the condition over it.
         self._callers = 0
-        self._callers_cv = threading.Condition(threading.Lock())
+        self._callers_lock = threading.Lock()
+        self._callers_cv = threading.Condition(self._callers_lock)
         self._fault_injector = fault_injector
         self._obs = cfg.obs
 
@@ -564,11 +614,12 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def _take_ids(self, k: int) -> list[int]:
+    def _take_ids(self, k: int) -> int:
+        """The first of ``k`` consecutive request ids."""
         with self._id_lock:
-            ids = list(range(self._next_id, self._next_id + k))
+            first = self._next_id
             self._next_id += k
-        return ids
+        return first
 
     def _admit(self, tenants: list[str]) -> None:
         """Take one admission permit per request, all-or-nothing.
@@ -642,11 +693,19 @@ class SolveService:
         job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
         try:
             return self._pool.submit(
-                self._run_bucket_task, [job], deadline, monotonic(), True
+                self._run_submitted, job, deadline, monotonic()
             )
         except RuntimeError:
             self._release(1)
             raise ServiceClosedError("service has been shut down")
+
+    def _run_submitted(self, job: _GroupJob, deadline: float | None,
+                       submitted_at: float) -> BatchResult:
+        """A submitted request's pool task: its one-group bucket, as a
+        :class:`BatchResult` with the bucket's :class:`BucketInfo`."""
+        infos: list[BucketInfo] = []
+        results = self._run_bucket_task([job], deadline, submitted_at, infos)
+        return BatchResult(results, infos, infos[0].wall_time_s)
 
     @_on_caller_thread
     def solve(
@@ -668,8 +727,7 @@ class SolveService:
         no span open it starts its own trace, as a pool request does.
         """
         job, deadline = self._admit_one(A, b, method, timeout_s, tenant)
-        results, _ = self._run_bucket_task([job], deadline, monotonic(), False)
-        return results[0]
+        return self._run_bucket_task([job], deadline, monotonic())[0]
 
     def _admit_one(
         self,
@@ -680,21 +738,22 @@ class SolveService:
         tenant: str,
     ) -> tuple[_GroupJob, float | None]:
         """Admit one request and take its snapshot; a matrix whose
-        arrays cannot be copied consistently becomes the job's error,
-        raised where the job runs."""
+        arrays cannot be copied consistently, or a right-hand side that
+        is not 1-D of length n or 2-D ``(n, k)``, becomes the job's
+        error, raised where the job runs."""
         self._admit([tenant])
-        rid = self._take_ids(1)[0]
+        rid = self._take_ids(1)
         deadline = self._deadline(timeout_s)
-        job = _GroupJob(
-            rids=[rid], A=A, bs=[], method=method,
-            tenant=tenant, positions=[0],
-        )
+        job = _GroupJob([rid], A, [], method, tenant, positions=[0])
         try:
             job.A = _snapshot(A)
-            job.bs.append(np.array(b))
+            job.bs.append(_rhs(b, job.A.n_rows))
         except Exception as exc:  # noqa: BLE001 - raised where the job runs
             job.error = exc
-            job.bs = [np.asarray(b)]
+            try:
+                job.bs = [np.asarray(b)]
+            except Exception:  # noqa: BLE001 - not array-like: one RHS
+                job.bs = [np.empty(0)]
         return job, deadline
 
     @_on_caller_thread
@@ -708,8 +767,10 @@ class SolveService:
 
         Requests are bucketed by sparsity pattern (structure digest +
         values dtype + method); within a bucket, same-content requests
-        coalesce into one fused multi-RHS call, and distinct values
-        vectors run back-to-back over the shared pattern plan — the
+        whose right-hand sides share one dtype coalesce into one fused
+        multi-RHS call (so each result keeps its own request's dtype and
+        bits), and distinct values vectors run back-to-back over the
+        shared pattern plan — the
         second and later groups pay only a values rebind, never a
         re-plan, and reuse the pattern the first group looked up (one
         plan-cache lookup per bucket).  Per-pattern admission work is
@@ -732,12 +793,14 @@ class SolveService:
         Every matrix and right-hand side is copied at admission, so the
         caller may reuse them once this returns (it returns only after
         the whole batch is solved).
-        A request whose ``A`` is not a readable :class:`CSRMatrix`
-        fails the batch with a :class:`ValidationError` of kind
-        ``"malformed-request"`` whose ``detail["position"]`` names it.
+        A request whose ``A`` is not a readable :class:`CSRMatrix`, or
+        whose ``b`` is not 1-D of length n or 2-D ``(n, k)`` with
+        ``k >= 1``, fails the batch with a :class:`ValidationError` of
+        kind ``"malformed-request"`` whose ``detail["position"]`` names
+        it.
         """
         reqs = [
-            r if isinstance(r, SolveRequest) else SolveRequest(A=r[0], b=np.asarray(r[1]))
+            r if isinstance(r, SolveRequest) else SolveRequest(A=r[0], b=r[1])
             for r in requests
         ]
         if not reqs:
@@ -760,8 +823,9 @@ class SolveService:
         # read-only copy of them and its digest, and only their data is
         # copied and hashed apart.  Identity is safe here because this
         # one call holds every request, so no id can be reused inside
-        # it.  A damaged matrix fails the O(1) checks of its snapshot and
-        # frees the batch's permits.
+        # it.  A damaged matrix fails the O(1) checks of its snapshot, a
+        # malformed right-hand side its shape check, and either frees the
+        # batch's permits.
         snaps: list[tuple] = []
         copies: dict[int, tuple] = {}
         structures: dict[tuple, tuple] = {}
@@ -780,31 +844,33 @@ class SolveService:
                         A = _snapshot(M, shared[0])
                         fps = fingerprints(A, shared[1])
                     taken = copies[id(M)] = (A, fps)
-                snaps.append((taken[0], np.array(r.b), taken[1]))
+                snaps.append((taken[0], _rhs(r.b, taken[0].n_rows), taken[1]))
         except Exception as exc:
             self._release(len(reqs))
             raise _malformed_request(
                 len(snaps), f"{type(exc).__name__}: {exc}"
             ) from exc
-        ids = self._take_ids(len(reqs))
+        first_id = self._take_ids(len(reqs))
         # Bucket by pattern (or by full content when structural batching
         # is off) and tenant — buckets stay tenant-homogeneous so every
         # per-bucket observation carries one attribution label;
-        # coalesce same-content requests into one group each.
-        buckets: dict[tuple, dict[str, _GroupJob]] = {}
+        # coalesce same-content requests whose right-hand sides share a
+        # dtype into one group each (a fused solve runs in one dtype).
+        buckets: dict[tuple, dict[tuple, _GroupJob]] = {}
         for pos, (r, (A, b, (full, sfp, vfp))) in enumerate(zip(reqs, snaps)):
             if structural:
                 bkey = (sfp, A.data.dtype.str, r.method, r.tenant)
             else:
                 bkey = (full, None, r.method, r.tenant)
             groups = buckets.setdefault(bkey, {})
-            job = groups.get(full)
+            gkey = (full, b.dtype)
+            job = groups.get(gkey)
             if job is None:
-                job = groups[full] = _GroupJob(
+                job = groups[gkey] = _GroupJob(
                     rids=[], A=A, bs=[], method=r.method, tenant=r.tenant,
                     fp=full, sfp=sfp, vfp=vfp,
                 )
-            job.rids.append(ids[pos])
+            job.rids.append(first_id + pos)
             job.bs.append(b)
             job.positions.append(pos)
         out: list[SolveResult | None] = [None] * len(reqs)
@@ -817,14 +883,13 @@ class SolveService:
             for jobs in pending:
                 started += 1
                 try:
-                    results, info = self._run_bucket_task(
-                        jobs, deadline, submitted_at, False
+                    results = self._run_bucket_task(
+                        jobs, deadline, submitted_at, infos
                     )
                 except Exception as exc:  # noqa: BLE001 - raised after the rest
                     if first_error is None:
                         first_error = exc
                     continue
-                infos.append(info)
                 positions = [p for j in jobs for p in j.positions]
                 for pos, res in zip(positions, results):
                     out[pos] = res
@@ -881,7 +946,7 @@ class SolveService:
                 "matrix is neither lower- nor upper-triangular; use "
                 "repro.lower_triangular_from to prepare it first"
             )
-        options = self.config.solver_options if method == self.config.method else {}
+        options = self._options(method)
         try:
             validate_solver_options(method, options)
             solver = SOLVERS[method](device=self.config.device, **options)
@@ -921,6 +986,11 @@ class SolveService:
                 dist=self._attach_dist(prepared),
                 prep_time_s=getattr(prepared, "preprocessing_time_s", 0.0),
             )
+
+    def _options(self, method: str) -> dict:
+        """The solver options of ``method``: the service's own copy of
+        the configured ones for its default method, none for another."""
+        return self._solver_options if method == self.config.method else {}
 
     def _rebind_cost(self, A: CSRMatrix) -> float:
         """Simulated cost of a values rebind: one pass reading the new
@@ -1128,6 +1198,7 @@ class SolveService:
             binder=binder,
             build_prep_s=float(decisions["build_prep_s"]),
             rebind_prep_s=float(decisions["rebind_prep_s"]),
+            from_store=True,
         )
         return pattern
 
@@ -1285,38 +1356,42 @@ class SolveService:
 
         One lookup per bucket: the first group to resolve the pattern
         appends it to ``resolved``, and a later group reuses it as the
-        pattern hit its own lookup would have been.  A cache miss
-        consults the disk warm tier before the cold build; a loaded
-        pattern skips the Table 5 analysis entirely, and a fresh build
-        is written back asynchronously.
+        pattern hit its own lookup would have been.  The key's plan spec
+        is built once per method.  A cache miss consults the disk warm
+        tier before the cold build; a loaded pattern skips the Table 5
+        analysis entirely, and a fresh build is written back
+        asynchronously.
         """
         if resolved:
             return resolved[0], True, False
         cfg = self.config
-        A = job.A
-        options = cfg.solver_options if method == cfg.method else {}
         if cfg.structural_batching:
-            key = structure_key(
-                job.sfp, method, cfg.device, options, A.data.dtype
-            )
+            spec = self._specs.get(method)
+            if spec is None:
+                spec = self._specs[method] = plan_spec(
+                    method, cfg.device, self._options(method)
+                )
+            key = pattern_key(job.sfp, job.A.data.dtype, spec)
         else:
-            key = plan_key(job.fp, method, cfg.device, options)
-        from_store: list = []
-
-        def build() -> _PatternEntry:
-            if self.store is not None:
-                loaded = self._load_pattern(key, job, method, obs)
-                if loaded is not None:
-                    from_store.append(True)
-                    return loaded
-            pattern = self._build_pattern(A, method, job.vfp)
-            if self.store is not None:
-                self._persist_pattern(key, job, method, pattern, obs)
-            return pattern
-
-        pattern, p_hit = self.cache.get_or_build(key, build)
+            key = plan_key(job.fp, method, cfg.device, self._options(method))
+        pattern, p_hit = self.cache.get_or_build(
+            key, self._load_or_build, key, job, method, obs
+        )
         resolved.append(pattern)
-        return pattern, p_hit, bool(from_store)
+        return pattern, p_hit, not p_hit and pattern.from_store
+
+    def _load_or_build(self, key: tuple, job: _GroupJob, method: str,
+                       obs: Observability | None) -> _PatternEntry:
+        """A missed pattern: loaded from the disk store when it holds a
+        usable entry, else built and written back."""
+        if self.store is not None:
+            loaded = self._load_pattern(key, job, method, obs)
+            if loaded is not None:
+                return loaded
+        pattern = self._build_pattern(job.A, method, job.vfp)
+        if self.store is not None:
+            self._persist_pattern(key, job, method, pattern, obs)
+        return pattern
 
     def _check_deadline(self, deadline: float | None) -> None:
         if deadline is not None and monotonic() > deadline:
@@ -1330,23 +1405,26 @@ class SolveService:
         jobs: list[_GroupJob],
         deadline: float | None,
         submitted_at: float,
-        as_batch: bool,
-    ):
+        infos: list[BucketInfo] | None = None,
+    ) -> list[SolveResult]:
         """Entry for one structural bucket, on a pool worker or a
         synchronous caller's thread: under the service's bundle (taken
         here, so the whole bucket reports to the bundle it started
         with), run every values-group over the shared pattern plan, then
-        release the bucket's admissions.  A failing group doesn't stop
+        release the bucket's admissions.  Returns the bucket's results
+        and, given ``infos``, appends its :class:`BucketInfo` there (a
+        ``solve`` asks for none).  A failing group doesn't stop
         the remaining ones; an interrupt does, and the groups it kept
         from running are accounted as failed with it before it
         propagates."""
         t0 = monotonic()
+        n_groups = len(jobs)
+        fused = n_groups > 1
         total = sum(len(j.rids) for j in jobs)
-        fused = len(jobs) > 1
         obs = self._obs
         method = jobs[0].method or self.config.method
         tenant = jobs[0].tenant  # buckets are tenant-homogeneous
-        bucket = (t0, max(0.0, t0 - submitted_at), len(jobs))
+        bucket = (t0, max(0.0, t0 - submitted_at), n_groups)
         results: list[SolveResult] = []
         errors: list[Exception] = []
         pattern_hit = False
@@ -1354,7 +1432,7 @@ class SolveService:
         try:
             with _NULL_CM if obs is None else obs.activate(), _span(
                 obs if fused else None, "serve.bucket",
-                method, tenant, len(jobs), total,
+                method, tenant, n_groups, total,
             ):
                 # the queue wait goes under the bucket's first serve span
                 if fused and obs is not None:
@@ -1385,22 +1463,21 @@ class SolveService:
             self._release(total)
         if errors:
             raise errors[0]
-        info = BucketInfo(
-            structure=jobs[0].sfp if self.config.structural_batching else None,
-            method=method,
-            tenant=tenant,
-            n_requests=total,
-            n_groups=len(jobs),
-            n_rhs=sum(
-                1 if b.ndim == 1 else b.shape[1] for j in jobs for b in j.bs
-            ),
-            fused=fused,
-            pattern_hit=pattern_hit,
-            wall_time_s=monotonic() - t0,
-        )
-        if as_batch:
-            return BatchResult(results, [info], monotonic() - t0)
-        return results, info
+        if infos is not None:
+            infos.append(BucketInfo(
+                structure=(
+                    jobs[0].sfp if self.config.structural_batching else None
+                ),
+                method=method,
+                tenant=tenant,
+                n_requests=total,
+                n_groups=n_groups,
+                n_rhs=sum(_n_rhs(b) for j in jobs for b in j.bs),
+                fused=fused,
+                pattern_hit=pattern_hit,
+                wall_time_s=monotonic() - t0,
+            ))
+        return results
 
     @staticmethod
     def _note_queue_wait(obs: Observability, tenant: str,
@@ -1511,20 +1588,16 @@ class SolveService:
             shares = [r.report for r in results]
         # read defensively: a malformed A (not a CSRMatrix) is accounted too
         n, nnz = getattr(job.A, "n_rows", 0), getattr(job.A, "nnz", 0)
-        n_dev = self.config.n_devices
-        device = "0" if n_dev == 1 else f"0-{n_dev - 1}"
+        fp, tenant, coalesced = job.fp or "", job.tenant, len(job.rids)
+        fused, device = bucket_n > 1, self._device
+        # positional, in RequestRecord's field order: a call naming all
+        # 24 fields costs several times as much to bind
         records = [
             RequestRecord(
-                request_id=rid, fingerprint=job.fp or "", method=method,
-                n=n, nnz=nnz, n_rhs=1 if b.ndim == 1 else b.shape[1],
-                tenant=job.tenant, cache_hit=hit, pattern_hit=p_hit,
-                store_hit=store_hit, fallback=fallback,
-                coalesced=len(job.rids), fused=bucket_n > 1,
-                bucket=bucket_n, prep_time_s=prep_s,
-                solve_time_s=share.time_s, launches=share.launches,
-                gflops=share.gflops, wall_time_s=wall, device=device,
-                trace_id=trace_id, error=error, timed_out=timed_out,
-                shed_expired=shed,
+                rid, fp, method, n, nnz, _n_rhs(b), tenant,
+                hit, p_hit, store_hit, fallback, coalesced, fused, bucket_n,
+                prep_s, share.time_s, share.launches, share.gflops, wall,
+                device, trace_id, error, timed_out, shed,
             )
             for rid, b, share in zip(job.rids, job.bs, shares)
         ]
@@ -1539,10 +1612,10 @@ class SolveService:
         if obs is None:
             return
         metrics = obs.serve_metrics
-        status_keys, tenant_key = metrics.tenant_keys(job.tenant)
+        status_keys, tenant_key = metrics.tenant_keys(tenant)
         metrics.requests_total.inc_key(status_keys[status], k)
         if shed:
-            metrics.ingress_sheds.inc(k, reason="expired", tenant=job.tenant)
+            metrics.ingress_sheds.inc(k, reason="expired", tenant=tenant)
         if fallback:
             metrics.fallbacks_total.inc(k)
         digest = None
@@ -1573,17 +1646,20 @@ class SolveService:
     ) -> tuple:
         """Solve one group; returns ``(results, pattern_hit, store_hit,
         prep_time_s)``.  ``resolved`` holds the bucket's pattern once a
-        group has resolved it."""
+        group has resolved it.  A group of one request solves its ``b``
+        as it came (one vector by the 1-D solve, ``k`` columns by the
+        fused one); a larger group stacks its right-hand sides as the
+        columns of one fused solve and hands each request its share."""
         cfg = self.config
         if job.error is not None:
             raise job.error
         A = job.A
         if job.fp is None:  # submit path: fingerprints not yet computed
             job.fp, job.sfp, job.vfp = fingerprints(A)
-        ncols = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
+        bs = job.bs
         if obs is not None:
             request_span.set(fingerprint=job.fp, n=A.n_rows, nnz=A.nnz,
-                             n_rhs=sum(ncols))
+                             n_rhs=sum(map(_n_rhs, bs)))
         method = job.method or cfg.method
         if method not in SOLVERS:
             raise ValueError(
@@ -1609,16 +1685,17 @@ class SolveService:
         # deadline miss — the next request amortizes it anyway.
         self._check_deadline(deadline)
 
-        cols = [b[:, None] if b.ndim == 1 else b for b in job.bs]
-        B0 = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+        if len(bs) == 1:
+            B0 = bs[0]
+        else:
+            B0 = np.concatenate(
+                [b[:, None] if b.ndim == 1 else b for b in bs], axis=1
+            )
         B = B0 if entry.perm is None else B0[entry.perm]
-        total = B.shape[1]
+        total = _n_rhs(B)
         executor = entry.dist if entry.dist is not None else entry.prepared
-        solve = executor.solve if total == 1 else executor.solve_multi
         # an external prepared type takes no overlay argument
-        args = (B[:, 0] if total == 1 else B,) + (
-            () if entry.overlay is None else (entry.overlay,)
-        )
+        overlay = () if entry.overlay is None else (entry.overlay,)
         if cfg.check and isinstance(entry.prepared, PreparedSolve):
             # the accuracy probe the engine rule stands for
             compiled = (entry.prepared.compile() if entry.dist is None
@@ -1626,11 +1703,14 @@ class SolveService:
             compiled.probe_engines(B.dtype, entry.overlay)
         with _span(obs, "serve.solve", entry.method, total,
                    cfg.n_devices) as sp:
-            Y, report = solve(*args)
+            if total == 1:  # one vector, of an (n,) or an (n, 1) b
+                Y, report = executor.solve(
+                    B if B.ndim == 1 else B[:, 0], *overlay
+                )
+            else:
+                Y, report = executor.solve_multi(B, *overlay)
             if obs is not None:
                 sp.set(sim_time_s=report.time_s, launches=report.launches)
-        if total == 1:
-            Y = Y[:, None]
         if entry.perm is not None:
             X = np.empty_like(Y)
             X[entry.perm] = Y
@@ -1638,23 +1718,26 @@ class SolveService:
             X = Y
         if cfg.check:
             check_residual(
-                A, X, B0, tol=cfg.check_tol,
-                context=f"service:{entry.method}",
+                A, X.reshape(len(X), -1), B0.reshape(len(B0), -1),
+                tol=cfg.check_tol, context=f"service:{entry.method}",
             )
 
-        results: list[SolveResult] = []
-        col = 0
-        for b, k in zip(job.bs, ncols):
-            share = (
-                report if total == k
-                else report.scaled(k / total, coalesced=len(job.rids))
-            )
-            x = X[:, col] if b.ndim == 1 else X[:, col:col + k]
-            col += k
-            results.append(SolveResult(
-                x=x, report=share, method=entry.method,
-                cache_hit=hit, fallback=entry.fallback,
-            ))
+        if len(bs) == 1:
+            x = X if X.ndim == bs[0].ndim else X[:, None]
+            results = [
+                SolveResult(x, report, entry.method, hit, entry.fallback)
+            ]
+        else:
+            results = []
+            col = 0
+            for b in bs:
+                k = _n_rhs(b)
+                share = report.scaled(k / total, coalesced=len(job.rids))
+                x = X[:, col] if b.ndim == 1 else X[:, col:col + k]
+                col += k
+                results.append(SolveResult(
+                    x, share, entry.method, hit, entry.fallback
+                ))
         return results, p_hit, store_hit, 0.0 if hit else entry.prep_time_s
 
     # ------------------------------------------------------------------ #

@@ -162,7 +162,7 @@ class TestRebinder:
 
 class TestArenaPoolRelease:
     def test_release_keyed_by_arena_itself(self):
-        pool = _ArenaPool(32, lambda dt: None, with_out=True)
+        pool = _ArenaPool(32, with_out=True)
         a64 = pool.acquire(np.dtype(np.float64), 0)
         assert a64.key == (np.dtype(np.float64), 0)
         pool.release(a64)
