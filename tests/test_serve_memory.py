@@ -8,6 +8,9 @@ evict each other from a pattern's overlay slots free what they bound.
 The one exception is SciPy's ``_superlu.gstrs``, which leaks about one
 ~100-byte block per call with SciPy 1.17.1: its site may grow by at most
 one block per call, so the test still passes once SciPy stops leaking.
+Over longer runs the site stays bounded, as the engine drops the
+registry SciPy lists those blocks in every ``REGISTRY_RELEASE_EVERY``
+solves of a thread.
 
 CPython recycles freed floats and tuples through free lists, and a
 recycled object keeps the allocation site it was first made at, so a
@@ -166,6 +169,54 @@ def test_overlay_churn_leaves_no_net_blocks(monkeypatch):
     assert stats.pattern_builds == 1
     assert stats.overlay_evictions >= 2 * HITS + WARM
     _assert_no_net_blocks(before, after, counting)
+
+
+@pytest.mark.skipif(not executor_module._HAVE_SUPERLU,
+                    reason="needs SciPy's SuperLU bindings")
+@pytest.mark.parametrize("door", ["solve", "submit"])
+def test_engine_solves_keep_the_superlu_registry_bounded(monkeypatch, door):
+    """SciPy lists the block each ``gstrs`` call leaks in a registry kept
+    per thread, so a thread's net blocks at the ``gstrs`` site would grow
+    by one per engine solve.  Every ``REGISTRY_RELEASE_EVERY`` engine
+    solves a thread drops that registry: over twenty periods the site
+    gains at most one period's blocks, on the caller's thread (``solve``)
+    and on a pool thread (``submit``) alike."""
+    every = 64
+    monkeypatch.setattr(executor_module, "REGISTRY_RELEASE_EVERY", every)
+    L = random_lower(240, 0.05, seed=84)
+    b = np.ones(L.n_rows)
+    svc = SolveService(ServiceConfig(max_workers=1, history_limit=HISTORY))
+    call = {
+        "solve": lambda: svc.solve(L, b),
+        "submit": lambda: svc.submit(L, b).result(),
+    }[door]
+    try:
+        for _ in range(WARM):
+            call()
+        # the hits solve through the engine: count them untraced
+        counting = _CountingSuperLU(executor_module._superlu)
+        with monkeypatch.context() as m:
+            m.setattr(executor_module, "_superlu", counting)
+            for _ in range(every):
+                call()
+        assert counting.calls == every
+        tracemalloc.start(1)
+        try:
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            for _ in range(20 * every):
+                call()
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    finally:
+        svc.close()
+    grown = sum(
+        st.count_diff for st in after.compare_to(before, "lineno")
+        if (st.traceback[0].filename, st.traceback[0].lineno) == _gstrs_site()
+    )
+    assert grown <= every + SLACK
 
 
 @pytest.mark.parametrize("n_devices", [1, 2])
